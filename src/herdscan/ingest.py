@@ -1,10 +1,19 @@
 """Intraday bar ingestion and panel alignment.
 
 Input is one CSV per asset, either ``timestamp,open,high,low,close,volume``
-or ``timestamp,close``, header optional. Only the close column is used.
-Timestamps are interpreted as exchange-local wall clock (default zone
-America/New_York); tz-aware inputs are converted into that zone and the
-offset is dropped, so every downstream comparison is on one clock.
+or ``timestamp,close``; the first non-blank line may be a header. Only the
+close column is used. Timestamps are interpreted as exchange-local wall
+clock (default zone America/New_York); tz-aware inputs are converted into
+that zone and the offset is dropped, so every downstream comparison is on
+one clock.
+
+Plain-ASCII files with ``\\n`` line ends, no quotes, and every stamp in
+one spelling out of ``YYYY-MM-DD HH:MM`` and ``YYYY-MM-DD HH:MM:SS`` (``T``
+or space between date and time), each optionally with a ``Z`` suffix, are
+parsed in one numpy pass. Any other file, and any file with an error in
+it, goes through the row-by-row parser, which reads every ISO-8601 form
+``datetime.fromisoformat`` accepts and reports errors with their line
+number.
 
 The alignment step restricts every series to the regular trading window
 (09:30 inclusive to 16:00 exclusive by default), builds a shared grid from
@@ -15,6 +24,7 @@ remaining gaps, logging every filled cell.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
@@ -260,43 +270,68 @@ def load_bars(path: Path | str, ticker: str, *,
               tz: str | None = DEFAULT_TIMEZONE) -> RawSeries:
     """Parse one bar CSV into a RawSeries of closes, sorted ascending.
 
-    Accepts 6-column OHLCV or 2-column (timestamp, close) rows; an optional
-    header row is skipped. Raises MalformedRow, DuplicateTimestamp or
-    NonPositivePrice on defective rows.
+    Accepts 6-column OHLCV or 2-column (timestamp, close) rows; the first
+    non-blank line may be a header. Raises MalformedRow, DuplicateTimestamp
+    or NonPositivePrice on defective rows.
+
+    Files in the common spellings are parsed in one numpy pass
+    (``_parse_fast``); any other file goes through ``_load_bars_rows``,
+    which also raises every error, so both give the same result.
     """
+    zone = ZoneInfo(tz) if tz else None
+    parsed = _parse_fast(Path(path).read_bytes(), zone)
+    if parsed is None:
+        return _load_bars_rows(path, ticker, tz=tz)
+    timestamps, closes = parsed
+    return RawSeries(ticker=ticker, timestamps=timestamps, closes=closes)
+
+
+def _load_bars_rows(path: Path | str, ticker: str, *,
+                    tz: str | None = DEFAULT_TIMEZONE) -> RawSeries:
+    """Row-by-row parser: ``load_bars``'s fallback and its test oracle."""
     path = Path(path)
     zone = ZoneInfo(tz) if tz else None
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRow(line_no, f"byte 0x{data[exc.start]:02X} is not UTF-8"
+                           ) from None
     rows: list[tuple[datetime, float]] = []
     n_cols: int | None = None
-    with path.open(newline="") as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            if not record or all(not c.strip() for c in record):
-                continue
-            if n_cols is None:
-                # first non-blank row: may be a header
-                try:
-                    _parse_timestamp(record[0], zone)
-                except ValueError:
-                    continue
-                n_cols = len(record)
-                if n_cols not in (2, 6):
-                    raise MalformedRow(line_no, f"expected 2 or 6 columns, got {n_cols}")
-            if len(record) != n_cols:
-                raise MalformedRow(line_no, f"expected {n_cols} columns, got {len(record)}")
+    header_allowed = True
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for line_no, record in enumerate(reader, start=1):
+        if not record or all(not c.strip() for c in record):
+            continue
+        if header_allowed:
+            # only the first non-blank row may be a header
+            header_allowed = False
             try:
-                ts = _parse_timestamp(record[0], zone)
-            except ValueError as exc:
-                raise MalformedRow(line_no, str(exc)) from None
-            close_field = record[1] if n_cols == 2 else record[4]
-            try:
-                close = float(close_field)
+                _parse_timestamp(record[0], zone)
             except ValueError:
-                raise MalformedRow(line_no, f"bad close {close_field!r}") from None
-            if not math.isfinite(close):
-                raise MalformedRow(line_no, f"non-finite close {close_field!r}")
-            if close <= 0:
-                raise NonPositivePrice(ts)
-            rows.append((ts, close))
+                continue
+        if n_cols is None:
+            n_cols = len(record)
+            if n_cols not in (2, 6):
+                raise MalformedRow(line_no, f"expected 2 or 6 columns, got {n_cols}")
+        if len(record) != n_cols:
+            raise MalformedRow(line_no, f"expected {n_cols} columns, got {len(record)}")
+        try:
+            ts = _parse_timestamp(record[0], zone)
+        except ValueError as exc:
+            raise MalformedRow(line_no, str(exc)) from None
+        close_field = record[1] if n_cols == 2 else record[4]
+        try:
+            close = float(close_field)
+        except ValueError:
+            raise MalformedRow(line_no, f"bad close {close_field!r}") from None
+        if not math.isfinite(close):
+            raise MalformedRow(line_no, f"non-finite close {close_field!r}")
+        if close <= 0:
+            raise NonPositivePrice(ts)
+        rows.append((ts, close))
     if not rows:
         raise MalformedRow(1, "no data rows")
     rows.sort(key=lambda r: r[0])
@@ -308,6 +343,165 @@ def load_bars(path: Path | str, ticker: str, *,
         timestamps=np.array([r[0] for r in rows], dtype="datetime64[s]"),
         closes=np.array([r[1] for r in rows], dtype=np.float64),
     )
+
+
+#: Bytes only the row parser handles, besides anything non-ASCII.
+_ROW_PARSER_BYTES = (b"\0", b"\r", b'"')
+#: Longest close field the fast path gathers; a float64 repr needs 24 bytes.
+_MAX_CLOSE_WIDTH = 32
+_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+#: UTC stamps the fast path converts: 1900-01-01 up to 2999-12-31.
+_FIRST_SAFE_SECOND = -2208988800
+_LAST_SAFE_SECOND = 32503680000 - 1
+
+
+def _parse_fast(data: bytes, zone: ZoneInfo | None
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sorted timestamps and closes of a bar file, or None for the row parser.
+
+    Takes only files it reads exactly as ``_load_bars_rows`` does: ASCII,
+    ``\\n`` line ends, no quotes, 2 or 6 columns on every data line, one
+    stamp spelling ``YYYY-MM-DD[T ]HH:MM[:SS][Z]`` throughout, finite
+    positive closes and no duplicate stamps. Everything else, errors
+    included, is left to the row parser.
+    """
+    if not data or not data.isascii() or any(c in data for c in _ROW_PARSER_BYTES):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    if b[-1] != ord("\n"):
+        ends = np.append(ends, b.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    nonempty = ends > starts
+    starts, ends = starts[nonempty], ends[nonempty]
+    if starts.size == 0 or (ends - starts).max() > csv.field_size_limit():
+        return None
+    commas = np.flatnonzero(b == ord(","))
+    first = np.searchsorted(commas, starts)
+    n_commas = np.searchsorted(commas, ends) - first
+
+    head = data[starts[0]:ends[0]].decode("ascii").split(",")
+    if all(not c.strip() for c in head):
+        return None
+    try:
+        _parse_timestamp(head[0], zone)
+    except ValueError:  # a header line
+        starts, ends, first, n_commas = starts[1:], ends[1:], first[1:], n_commas[1:]
+        if starts.size == 0:
+            return None
+    n_cols = int(n_commas[0]) + 1
+    if n_cols not in (2, 6) or (n_commas != n_cols - 1).any():
+        return None
+
+    width = int(commas[first[0]] - starts[0])
+    if width not in (16, 17, 19, 20) or (commas[first] - starts != width).any():
+        return None
+    secs = _fixed_width_seconds(
+        np.lib.stride_tricks.sliding_window_view(b, width)[starts])
+    if secs is None:
+        return None
+    if width in (17, 20):
+        secs = _utc_to_local(secs, zone or ZoneInfo(DEFAULT_TIMEZONE))
+        if secs is None:
+            return None
+
+    if n_cols == 2:
+        lo, hi = commas[first] + 1, ends
+    else:
+        lo, hi = commas[first + 3] + 1, commas[first + 4]
+    closes = _gather_floats(b, lo, hi - lo)
+    if closes is None or not np.isfinite(closes).all() or (closes <= 0).any():
+        return None
+    order = np.argsort(secs, kind="stable")
+    secs = secs[order]
+    if (secs[1:] == secs[:-1]).any():
+        return None
+    return secs.view("datetime64[s]"), closes[order]
+
+
+def _fixed_width_seconds(win: np.ndarray) -> np.ndarray | None:
+    """Seconds since the epoch of ``YYYY-MM-DD[T ]HH:MM[:SS][Z]`` rows.
+
+    ``win`` holds one stamp per row as bytes. Returns None unless every
+    separator, digit and calendar field is valid.
+    """
+    width = win.shape[1]
+    with_seconds = width >= 19
+    valid = ((win[:, 4] == ord("-")) & (win[:, 7] == ord("-"))
+             & ((win[:, 10] == ord("T")) | (win[:, 10] == ord(" ")))
+             & (win[:, 13] == ord(":")))
+    if with_seconds:
+        valid &= win[:, 16] == ord(":")
+    if width in (17, 20):
+        valid &= win[:, -1] == ord("Z")
+    digits = win - np.uint8(ord("0"))
+    cols = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15] + ([17, 18] if with_seconds else [])
+    valid &= (digits[:, cols] <= 9).all(axis=1)
+
+    def number(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros(win.shape[0], dtype=np.int64)
+        for col in range(lo, hi):
+            out = out * 10 + digits[:, col]
+        return out
+
+    year, month, day = number(0, 4), number(5, 7), number(8, 10)
+    hour, minute = number(11, 13), number(14, 16)
+    second = number(17, 19) if with_seconds else 0
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_ok = (month >= 1) & (month <= 12)
+    days_in_month = _DAYS_IN_MONTH[np.where(month_ok, month - 1, 0)] + (leap & (month == 2))
+    valid &= (month_ok & (year >= 1) & (day >= 1) & (day <= days_in_month)
+              & (hour <= 23) & (minute <= 59) & (second <= 59))
+    if not valid.all():
+        return None
+    # days from the civil date (H. Hinnant's algorithm), March-based years
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    return days * 86400 + hour * 3600 + minute * 60 + second
+
+
+def _utc_to_local(secs: np.ndarray, zone: ZoneInfo) -> np.ndarray | None:
+    """Wall-clock seconds in ``zone`` for UTC epoch seconds.
+
+    Looks the offset up once per UTC day; rows on a day whose offset changes
+    are converted one by one. Returns None outside the years where every
+    conversion stays inside ``datetime``'s range.
+    """
+    if secs.min() < _FIRST_SAFE_SECOND or secs.max() > _LAST_SAFE_SECOND:
+        return None
+
+    def offset(t: int) -> int:
+        return int(datetime.fromtimestamp(t, zone).utcoffset().total_seconds())
+
+    days, day_of = np.unique(secs // 86400, return_inverse=True)
+    start = np.array([offset(int(d) * 86400) for d in days], dtype=np.int64)
+    end = np.array([offset(int(d) * 86400 + 86399) for d in days], dtype=np.int64)
+    local = secs + start[day_of]
+    for row in np.flatnonzero((start != end)[day_of]):
+        local[row] = secs[row] + offset(int(secs[row]))
+    return local
+
+
+def _gather_floats(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+                   ) -> np.ndarray | None:
+    """float64 values of the byte fields ``b[starts[i]:starts[i] + lengths[i]]``.
+
+    Fields are gathered through a sliding-window view, so no index matrix is
+    built. Returns None if a field is empty, too long or not a number.
+    """
+    width = int(lengths.max())
+    if lengths.min() < 1 or width > _MAX_CLOSE_WIDTH:
+        return None
+    padded = np.concatenate([b, np.zeros(width, dtype=np.uint8)])
+    fields = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
+    fields[np.arange(width) >= lengths[:, None]] = 0
+    try:
+        return fields.view(f"S{width}").ravel().astype(np.float64)
+    except ValueError:
+        return None
 
 
 # --- filtering and alignment -------------------------------------------------
@@ -324,13 +518,19 @@ def filter_by_missing(series: RawSeries, grid: Sequence | np.ndarray,
                       vehicle: Vehicle, *,
                       thresholds: Mapping[Vehicle, float] | None = None
                       ) -> FilterDecision:
-    """Accept/reject an asset by the fraction of grid timestamps it misses."""
+    """Accept/reject an asset by the fraction of grid timestamps it misses.
+
+    The grid is expected sorted and unique, as ``shared_grid`` returns it.
+    """
     grid_arr = np.asarray(grid, dtype="datetime64[s]")
     if grid_arr.size == 0:
         raise EmptyGrid("cannot filter against an empty grid")
     limits = DEFAULT_MISSING_THRESHOLDS if thresholds is None else thresholds
     threshold = float(limits[vehicle])
-    observed = np.intersect1d(series.timestamps, grid_arr).size
+    # series stamps are strictly increasing, so each matches one grid stamp
+    pos = np.searchsorted(grid_arr, series.timestamps)
+    observed = np.count_nonzero(
+        grid_arr.take(pos, mode="clip") == series.timestamps)
     fraction = 1.0 - observed / grid_arr.size
     return FilterDecision(accepted=fraction <= threshold,
                           missing_fraction=float(fraction),
@@ -343,15 +543,19 @@ def shared_grid(series_list: Sequence[RawSeries],
     """Union of in-window timestamps present in at least ``quorum`` of assets."""
     if not series_list:
         raise EmptyGrid("no series")
-    chunks = []
-    for s in series_list:
-        ts = s.timestamps[in_window(s, window)]
-        if ts.size:
-            chunks.append(ts)
-    if not chunks:
+    masks = [in_window(s, window) for s in series_list]
+    stamps = np.empty(sum(int(np.count_nonzero(m)) for m in masks), dtype=np.int64)
+    if not stamps.size:
         raise EmptyGrid("no in-window observations in any series")
-    stamps, counts = np.unique(np.concatenate(chunks), return_counts=True)
-    return stamps[counts >= quorum * len(series_list)]
+    filled = 0
+    for s, mask in zip(series_list, masks):
+        chunk = s.timestamps[mask].view(np.int64)
+        stamps[filled:filled + chunk.size] = chunk
+        filled += chunk.size
+    stamps.sort()
+    firsts = np.concatenate(([0], np.flatnonzero(stamps[1:] != stamps[:-1]) + 1))
+    counts = np.diff(firsts, append=stamps.size)
+    return stamps[firsts[counts >= quorum * len(series_list)]].view("datetime64[s]")
 
 
 def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta],
@@ -371,12 +575,10 @@ def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta],
         raise ConfigError(f"no metadata for tickers: {sorted(missing_meta)}")
 
     ordered = sorted(accepted, key=lambda s: s.ticker)
-    windowed: list[tuple[str, np.ndarray, np.ndarray]] = []
-    for s in ordered:
-        mask = in_window(s, window)
+    masks = [in_window(s, window) for s in ordered]
+    for s, mask in zip(ordered, masks):
         if not mask.any():
             raise UnfillableAsset(s.ticker)
-        windowed.append((s.ticker, s.timestamps[mask], s.closes[mask]))
 
     grid = shared_grid(ordered, window, quorum=quorum)
     if grid.size == 0:
@@ -384,20 +586,19 @@ def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta],
     if grid.size < 3:
         raise EmptyGrid(f"grid has only {grid.size} timestamps; need at least 3")
 
-    prices = np.empty((len(windowed), grid.size), dtype=np.float64)
+    prices = np.empty((len(ordered), grid.size), dtype=np.float64)
     fills: list[FillRecord] = []
-    for row, (ticker, ts, px) in enumerate(windowed):
+    for row, (s, mask) in enumerate(zip(ordered, masks)):
+        ts, px = s.timestamps[mask], s.closes[mask]
         idx = np.searchsorted(ts, grid, side="right") - 1
         clipped = np.clip(idx, 0, ts.size - 1)
-        values = px[clipped]
-        exact = ts[clipped] == grid
-        prices[row] = values
-        for col in np.nonzero(~exact)[0]:
+        prices[row] = px[clipped]
+        for col in np.flatnonzero(ts[clipped] != grid):
             method = "bfill" if idx[col] < 0 else "ffill"
-            fills.append(FillRecord(ticker, grid[col], method))
+            fills.append(FillRecord(s.ticker, grid[col], method))
 
     return AlignedPanel(
-        assets=tuple(meta_by_ticker[t] for t, _, _ in windowed),
+        assets=tuple(meta_by_ticker[s.ticker] for s in ordered),
         grid=grid,
         prices=prices,
         fill_log=tuple(fills),

@@ -163,13 +163,12 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
                tz: str = DEFAULT_TIMEZONE,
                thresholds: Mapping[Vehicle, float] | None = None,
                quorum: float = 0.5,
-               max_workers: int | None = None,
                ) -> tuple[AlignedPanel, dict[str, FilterDecision]]:
     """Load every ``*.csv`` in a directory and align the accepted assets.
 
-    The missing-data filter runs against a provisional grid built from all
-    loaded series; the final grid is rebuilt from the accepted ones. The
-    returned decisions include rejected tickers.
+    Files load one after another. The missing-data filter runs against a
+    provisional grid built from all loaded series; the final grid is rebuilt
+    from the accepted ones. The returned decisions include rejected tickers.
     """
     data_dir = Path(data_dir)
     files = sorted(data_dir.glob("*.csv"))
@@ -180,8 +179,7 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
     if unmapped:
         raise ConfigError(f"tickers missing from the sector map: {unmapped}")
 
-    series = _map_units(
-        lambda p: load_bars(p, p.stem.upper(), tz=tz), files, max_workers)
+    series = [load_bars(p, p.stem.upper(), tz=tz) for p in files]
     grid = shared_grid(series, window, quorum=quorum)
     decisions: dict[str, FilterDecision] = {}
     accepted = []

@@ -95,6 +95,20 @@ class TestAnalyze:
                      "--out", str(tmp_path / "out")])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["analyze", "csad"])
+    def test_non_utf8_bars_are_data_error(self, data_dir, tmp_path, command):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "AAA.csv").write_bytes(b"2019-04-01 09:30,100.0\n"
+                                      b"2019-04-01 10:00,\xe9\n")
+        (bad / "BBB.csv").write_text("2019-04-01 09:30,100.0\n")
+        sectors = tmp_path / "s.txt"
+        sectors.write_text("AAA stock Energy\nBBB stock Energy\n")
+        args = [command, "--data-dir", str(bad), "--out", str(tmp_path / "out")]
+        if command == "analyze":
+            args += ["--sectors", str(sectors)]
+        assert main(args) == 3
+
     def test_thread_env_respected(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("HERDSCAN_THREADS", "1")
         out = tmp_path / "out"

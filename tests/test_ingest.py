@@ -25,6 +25,7 @@ from herdscan.ingest import (
     SubPeriod,
     TradingWindow,
     Vehicle,
+    _load_bars_rows,
     align,
     filter_by_missing,
     load_bars,
@@ -99,6 +100,25 @@ class TestLoadBars:
         path = write_csv(tmp_path, "x.csv", "\n")
         with pytest.raises(MalformedRow):
             load_bars(path, "X")
+
+    def test_only_first_line_may_be_a_header(self, tmp_path):
+        path = write_csv(tmp_path, "x.csv",
+                         "timestamp,close\n"
+                         "bad-row,1.0\n"
+                         "2019-13-45 09:30,2.0\n"
+                         "2019-04-01 09:30,100.0\n"
+                         "2019-04-01 10:00,101.0\n")
+        for parse in (load_bars, _load_bars_rows):
+            with pytest.raises(MalformedRow) as err:
+                parse(path, "X")
+            assert err.value.line_no == 2
+
+    def test_non_utf8_byte_is_malformed_row(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"2019-04-01 09:30,100.0\n2019-04-01 10:00,1\xe9\n")
+        with pytest.raises(MalformedRow) as err:
+            load_bars(path, "X")
+        assert err.value.line_no == 2
 
     def test_iso_offset_converted_to_local(self, tmp_path):
         # 13:30Z on 2019-04-01 is 09:30 in New York (EDT)

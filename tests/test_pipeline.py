@@ -308,7 +308,7 @@ class TestLoadPanel:
                     for t, p in zip(panel0.grid, panel0.prices[i])]
             (tmp_path / f"{ticker}.csv").write_text("\n".join(rows) + "\n")
         sector_map = {t: stock_meta(t) for t in panel0.tickers}
-        panel, decisions = load_panel(tmp_path, sector_map, max_workers=1)
+        panel, decisions = load_panel(tmp_path, sector_map)
         assert panel.tickers == panel0.tickers
         assert panel.grid.tolist() == panel0.grid.tolist()
         np.testing.assert_allclose(panel.prices, panel0.prices, rtol=1e-7)
@@ -317,11 +317,11 @@ class TestLoadPanel:
     def test_unmapped_ticker_is_config_error(self, tmp_path):
         (tmp_path / "zzz.csv").write_text("2019-04-01 09:30,1.0\n")
         with pytest.raises(ConfigError):
-            load_panel(tmp_path, {}, max_workers=1)
+            load_panel(tmp_path, {})
 
     def test_empty_dir_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
-            load_panel(tmp_path, {}, max_workers=1)
+            load_panel(tmp_path, {})
 
 
 class TestThreadCap:
