@@ -23,13 +23,16 @@ from .ingest import (
     AssetMeta,
     Sector,
     Vehicle,
+    file_slug,
     read_sector_map,
     read_subperiods,
 )
 from .pipeline import (
     DEFAULT_MIN_COMMUNITY_SIZE,
     _fmt,
-    _slug,
+    _make_dir,
+    _mst_csv,
+    _write,
     community_structure,
     emit_report,
     load_panel,
@@ -144,20 +147,15 @@ def _cmd_communities(args) -> int:
     structures = community_structure(panel, subs,
                                      louvain_weights=args.louvain_weights)
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     for sub_name, (tree, partition) in sorted(structures.items()):
-        slug = _slug(sub_name)
+        slug = file_slug(sub_name)
         lines = ["ticker,community_id"]
         if partition is not None:
             for ticker in sorted(partition.assignment):
                 lines.append(f"{ticker},{partition.assignment[ticker]}")
-        (out / f"partition_{slug}.csv").write_text("\n".join(lines) + "\n")
-        lines = ["source,target,correlation,distance"]
-        if tree is not None:
-            for e in tree.edges:
-                corr = 1.0 - e.weight ** 2 / 2.0
-                lines.append(f"{e.a},{e.b},{_fmt(corr)},{_fmt(e.weight)}")
-        (out / f"mst_{slug}.csv").write_text("\n".join(lines) + "\n")
+        _write(out / f"partition_{slug}.csv", "\n".join(lines) + "\n")
+        _write(out / f"mst_{slug}.csv", _mst_csv(tree))
     log.info("wrote %d sub-period structures to %s", len(structures), out)
     return 0
 
@@ -166,11 +164,11 @@ def _cmd_csad(args) -> int:
     panel, _ = _load(args)
     series = csad(log_returns(panel))
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     lines = ["timestamp,market_return,csad"]
     for ts, rm, disp in zip(series.grid, series.market_return, series.csad):
         lines.append(f"{ts},{_fmt(float(rm))},{_fmt(float(disp))}")
-    (out / "csad.csv").write_text("\n".join(lines) + "\n")
+    _write(out / "csad.csv", "\n".join(lines) + "\n")
     log.info("wrote csad series (%d rows) to %s", len(series), out)
     return 0
 

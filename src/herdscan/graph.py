@@ -4,6 +4,12 @@ The complete asset graph carries the distance d = sqrt(2*(1 - c)) on each
 pair, mapping correlation c in [-1, 1] onto [0, 2]. Its minimum spanning
 tree keeps the n-1 strongest-correlation links, which is the skeleton the
 community detection runs on.
+
+The tree is grown by Prim's algorithm on the dense distance matrix: O(n^2)
+array work and O(n) extra memory, no list of candidate edges. Edges are
+ranked by the strict key (weight, smaller ticker, larger ticker), so the
+tree is unique even when distances tie, and it is returned with its edges
+sorted by that key.
 """
 
 from __future__ import annotations
@@ -97,57 +103,60 @@ def to_distance(cm: CorrelationMatrix) -> DistanceMatrix:
     return DistanceMatrix(tickers=cm.tickers, values=dist)
 
 
-class _UnionFind:
-    """Union by rank with path halving; equal ranks keep the smaller root."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb] or (
-                self.rank[ra] == self.rank[rb] and rb < ra):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def mst(dm: DistanceMatrix) -> SpanningTree:
-    """Kruskal on the complete graph, deterministic under ties.
+    """Minimum spanning tree by dense Prim on the distance matrix.
 
-    Candidate edges sort by (weight, smaller ticker, larger ticker), so
-    identical runs and platforms produce identical trees.
+    Edges are ordered strictly by (weight, smaller ticker, larger ticker):
+    picking the next tree node and updating each node's lightest edge into
+    the tree both break weight ties by that key. Under a strict total order
+    the tree is unique, so it is the same on every run and platform, ties
+    included. Edges come out sorted by that key, and ``total_weight`` is
+    summed in that order.
     """
     n = len(dm.tickers)
     if n < 2:
         raise DataError("mst needs at least 2 nodes")
-    iu, ju = np.triu_indices(n, 1)
-    candidates = []
-    for i, j in zip(iu.tolist(), ju.tolist()):
+    if len(set(dm.tickers)) != n:
+        raise DataError("mst needs distinct tickers")
+    d = dm.values
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=dm.tickers.__getitem__)] = np.arange(n)
+
+    def tie_keys(v: int) -> np.ndarray:
+        """(smaller, larger) ticker rank of each edge (v, u), as one int64."""
+        return np.minimum(rank, rank[v]) * n + np.maximum(rank, rank[v])
+
+    # per node outside the tree: its lightest edge into the tree, as
+    # weight, tie key and tree end; frozen once the node joins the tree
+    outside = np.ones(n, dtype=bool)
+    best_w = d[0].copy()
+    best_key = tie_keys(0)
+    best_from = np.zeros(n, dtype=np.int64)
+    outside[0] = False
+    best_w[0] = np.inf
+    for _ in range(n - 1):
+        cand = np.flatnonzero(best_w == best_w.min())
+        v = int(cand[np.argmin(best_key[cand])])
+        outside[v] = False
+        best_w[v] = np.inf
+        w, key = d[v], tie_keys(v)
+        better = outside & ((w < best_w) | ((w == best_w) & (key < best_key)))
+        best_w[better] = w[better]
+        best_key[better] = key[better]
+        best_from[better] = v
+
+    child = np.arange(1, n)
+    parent = best_from[child]
+    lo, hi = np.minimum(parent, child), np.maximum(parent, child)
+    weights = d[lo, hi]
+    order = np.lexsort((best_key[child], weights))
+    edges: list[TreeEdge] = []
+    total = 0.0
+    for i, j, w in zip(lo[order].tolist(), hi[order].tolist(),
+                       weights[order].tolist()):
         a, b = dm.tickers[i], dm.tickers[j]
         if b < a:
             a, b = b, a
-        candidates.append((float(dm.values[i, j]), a, b, i, j))
-    candidates.sort(key=lambda e: (e[0], e[1], e[2]))
-
-    uf = _UnionFind(n)
-    edges: list[TreeEdge] = []
-    total = 0.0
-    for w, a, b, i, j in candidates:
-        if uf.union(i, j):
-            edges.append(TreeEdge(a, b, w))
-            total += w
-            if len(edges) == n - 1:
-                break
+        edges.append(TreeEdge(a, b, w))
+        total += w
     return SpanningTree(nodes=dm.tickers, edges=tuple(edges), total_weight=total)

@@ -23,6 +23,7 @@ remaining gaps, logging every filled cell.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
-from zoneinfo import ZoneInfo
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
@@ -252,7 +253,22 @@ class SubPeriod:
 FULL_PERIOD = "full"
 
 
+def file_slug(name: str) -> str:
+    """A sub-period name as it appears in report file names."""
+    return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
+
+
 # --- CSV loading ------------------------------------------------------------
+
+def _zone(tz: str | None) -> ZoneInfo | None:
+    """The time zone named ``tz``; ConfigError if there is none by that name."""
+    if not tz:
+        return None
+    try:
+        return ZoneInfo(tz)
+    except (ZoneInfoNotFoundError, ValueError):
+        raise ConfigError(f"unknown time zone {tz!r}") from None
+
 
 def _parse_timestamp(text: str, tz: ZoneInfo | None) -> datetime:
     raw = text.strip()
@@ -278,8 +294,9 @@ def load_bars(path: Path | str, ticker: str, *,
     (``_parse_fast``); any other file goes through ``_load_bars_rows``,
     which also raises every error, so both give the same result.
     """
-    zone = ZoneInfo(tz) if tz else None
-    parsed = _parse_fast(Path(path).read_bytes(), zone)
+    zone = _zone(tz)
+    parsed = _parse_fast(Path(path).read_bytes().removeprefix(codecs.BOM_UTF8),
+                         zone)
     if parsed is None:
         return _load_bars_rows(path, ticker, tz=tz)
     timestamps, closes = parsed
@@ -290,8 +307,8 @@ def _load_bars_rows(path: Path | str, ticker: str, *,
                     tz: str | None = DEFAULT_TIMEZONE) -> RawSeries:
     """Row-by-row parser: ``load_bars``'s fallback and its test oracle."""
     path = Path(path)
-    zone = ZoneInfo(tz) if tz else None
-    data = path.read_bytes()
+    zone = _zone(tz)
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -301,8 +318,7 @@ def _load_bars_rows(path: Path | str, ticker: str, *,
     rows: list[tuple[datetime, float]] = []
     n_cols: int | None = None
     header_allowed = True
-    reader = csv.reader(io.StringIO(text, newline=""))
-    for line_no, record in enumerate(reader, start=1):
+    for line_no, record in _csv_records(text):
         if not record or all(not c.strip() for c in record):
             continue
         if header_allowed:
@@ -343,6 +359,17 @@ def _load_bars_rows(path: Path | str, ticker: str, *,
         timestamps=np.array([r[0] for r in rows], dtype="datetime64[s]"),
         closes=np.array([r[1] for r in rows], dtype=np.float64),
     )
+
+
+def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each CSV record; MalformedRow on a CSV error."""
+    line_no = 0
+    try:
+        for line_no, record in enumerate(
+                csv.reader(io.StringIO(text, newline="")), start=1):
+            yield line_no, record
+    except csv.Error as exc:
+        raise MalformedRow(line_no + 1, str(exc)) from None
 
 
 #: Bytes only the row parser handles, besides anything non-ASCII.
@@ -659,7 +686,7 @@ def read_subperiods(path: Path | str) -> tuple[SubPeriod, ...]:
     except OSError as exc:
         raise ConfigError(f"cannot read sub-period file {path}: {exc}") from None
     subs: list[SubPeriod] = []
-    seen: set[str] = set()
+    name_by_slug: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -668,8 +695,14 @@ def read_subperiods(path: Path | str) -> tuple[SubPeriod, ...]:
         if len(parts) != 3:
             raise ConfigError(f"{path}:{line_no}: expected 'name,start,end'")
         name = parts[0]
-        if name in seen:
+        slug = file_slug(name)
+        other = name_by_slug.get(slug)
+        if other == name:
             raise ConfigError(f"{path}:{line_no}: duplicate sub-period {name!r}")
+        if other is not None:
+            raise ConfigError(
+                f"{path}:{line_no}: sub-periods {other!r} and {name!r} would "
+                f"write the same report files (*_{slug}.csv)")
         if name == FULL_PERIOD:
             raise ConfigError(f"{path}:{line_no}: name {FULL_PERIOD!r} is reserved")
         try:
@@ -677,5 +710,5 @@ def read_subperiods(path: Path | str) -> tuple[SubPeriod, ...]:
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: {exc}") from None
         subs.append(SubPeriod(name, start, end))
-        seen.add(name)
+        name_by_slug[slug] = name
     return tuple(subs)

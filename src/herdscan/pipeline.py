@@ -62,6 +62,7 @@ from .ingest import (
     TradingWindow,
     Vehicle,
     align,
+    file_slug,
     filter_by_missing,
     load_bars,
     read_subperiods,
@@ -371,9 +372,9 @@ def compute_beta_reports(panel: AlignedPanel, *, proxy: str | None = None,
 
     out: dict[Vehicle, BetaReport] = {}
     for vehicle in sorted({a.vehicle for a in panel.assets}, key=lambda v: v.value):
-        betas = {a.ticker: capm_beta(rp.row(a.ticker), proxy_returns,
-                                     min_obs=min_obs)
-                 for a in panel.assets if a.vehicle is vehicle}
+        betas = {a.ticker: capm_beta(returns, proxy_returns, min_obs=min_obs)
+                 for a, returns in zip(rp.assets, rp.returns)
+                 if a.vehicle is vehicle}
         out[vehicle] = build_beta_report(betas, label)
     return out
 
@@ -519,10 +520,6 @@ def _run_json(run: AnalysisRun, include_timings: bool) -> dict:
     }
 
 
-def _slug(name: str) -> str:
-    return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
-
-
 _VERDICT_COLUMNS = ["beta2", "beta2_sig", "gamma2", "gamma2_sig",
                     "gamma3", "gamma3_sig", "herding_overall", "herding_up",
                     "herding_down", "herding_any"]
@@ -538,11 +535,28 @@ def _verdict_fields(v: HerdingVerdict | None) -> list[str]:
             _fmt(v.herding_down), _fmt(v.herding_any)]
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(path, exc) from None
+
+
 def _write(path: Path, text: str) -> None:
     try:
         path.write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         raise IoFailure(path, exc) from None
+
+
+def _mst_csv(tree: SpanningTree | None) -> str:
+    """``source,target,correlation,distance`` rows of a tree, in edge order."""
+    lines = ["source,target,correlation,distance"]
+    if tree is not None:
+        for e in tree.edges:
+            corr = 1.0 - e.weight ** 2 / 2.0
+            lines.append(",".join([e.a, e.b, _fmt(corr), _fmt(e.weight)]))
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(run: AnalysisRun, out_dir: Path | str, *,
@@ -554,10 +568,7 @@ def emit_report(run: AnalysisRun, out_dir: Path | str, *,
     which trades reproducibility for profiling data.
     """
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(out_dir, exc) from None
+    _make_dir(out_dir)
     written: list[Path] = []
 
     run_path = out_dir / "run.json"
@@ -584,7 +595,7 @@ def emit_report(run: AnalysisRun, out_dir: Path | str, *,
 
     sectors = [s.value for s in sorted(Sector, key=lambda s: s.value)]
     for sub in run.sub_names:
-        slug = _slug(sub)
+        slug = file_slug(sub)
         reports = run.combined.get(sub, ())
 
         lines = ["community_id,size,members," + ",".join(_VERDICT_COLUMNS)
@@ -612,14 +623,8 @@ def emit_report(run: AnalysisRun, out_dir: Path | str, *,
         _write(path, "\n".join(lines) + "\n")
         written.append(path)
 
-        tree = run.trees.get(sub)
-        lines = ["source,target,correlation,distance"]
-        if tree is not None:
-            for e in tree.edges:
-                corr = 1.0 - e.weight ** 2 / 2.0
-                lines.append(",".join([e.a, e.b, _fmt(corr), _fmt(e.weight)]))
         path = out_dir / f"mst_{slug}.csv"
-        _write(path, "\n".join(lines) + "\n")
+        _write(path, _mst_csv(run.trees.get(sub)))
         written.append(path)
 
     return written

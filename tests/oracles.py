@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force and shares no code with the
 implementations under test: normal-equation least squares, spanning-tree
-enumeration via Prufer sequences, exhaustive set-partition modularity
-search, and the literal lagged-sum form of the Newey-West covariance.
+enumeration via Prufer sequences, Kruskal's algorithm with component
+relabelling, exhaustive set-partition modularity search, and the literal
+lagged-sum form of the Newey-West covariance.
 """
 
 from __future__ import annotations
@@ -75,6 +76,34 @@ def min_spanning_weight(dist: np.ndarray) -> float:
     trees = all_spanning_trees(n)
     weights = dist[trees[:, :, 0], trees[:, :, 1]].sum(axis=1)
     return float(weights.min())
+
+
+def kruskal_tree(dist, names) -> tuple[tuple[tuple[str, str, float], ...], float]:
+    """Minimum spanning tree of a complete graph by Kruskal's algorithm.
+
+    Edges rank by (weight, smaller name, larger name) and are accepted in
+    that order; each accepted edge relabels one component wholesale.
+    Returns the (smaller, larger, weight) edges in acceptance order and
+    their running sum.
+    """
+    n = len(names)
+    ranked = sorted((float(dist[i][j]), *sorted((names[i], names[j])))
+                    for i in range(n) for j in range(i + 1, n))
+    component = {name: name for name in names}
+    tree = []
+    total = 0.0
+    for w, a, b in ranked:
+        keep, gone = component[a], component[b]
+        if keep == gone:
+            continue
+        for name in names:
+            if component[name] == gone:
+                component[name] = keep
+        tree.append((a, b, w))
+        total += w
+        if len(tree) == n - 1:
+            break
+    return tuple(tree), total
 
 
 @lru_cache(maxsize=None)

@@ -131,7 +131,36 @@ class TestAnalyze:
             assert f.read_bytes() == (outs[1] / f.name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["analyze", "communities", "csad"])
+def test_unknown_time_zone_is_config_error(data_dir, tmp_path, command, capsys):
+    args = [command, "--data-dir", str(data_dir["bars"]),
+            "--sectors", str(data_dir["sectors"]),
+            "--tz", "Not/AZone", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "unknown time zone 'Not/AZone'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["communities", "csad"])
+def test_unwritable_out_is_io_failure(data_dir, tmp_path, command, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    args = [command, "--data-dir", str(data_dir["bars"]), "--out", str(out)]
+    assert main(args) == 3
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
 class TestCommunities:
+    def test_mst_files_match_analyze(self, data_dir, tmp_path):
+        common = ["--data-dir", str(data_dir["bars"]),
+                  "--sectors", str(data_dir["sectors"]),
+                  "--subperiods", str(data_dir["subs"])]
+        report, graphs = tmp_path / "report", tmp_path / "graphs"
+        assert main(["analyze", *common, "--out", str(report)]) == 0
+        assert main(["communities", *common, "--out", str(graphs)]) == 0
+        for sub in ("event", "calm", "full"):
+            name = f"mst_{sub}.csv"
+            assert (graphs / name).read_bytes() == (report / name).read_bytes()
+
     def test_partition_and_mst_files(self, data_dir, tmp_path):
         out = tmp_path / "out"
         code = main(["communities", "--data-dir", str(data_dir["bars"]),

@@ -16,7 +16,7 @@ from herdscan.graph import (
 from herdscan.returns import ReturnPanel
 
 from generators import intraday_grid, stock_meta
-from oracles import min_spanning_weight
+from oracles import kruskal_tree, min_spanning_weight
 
 
 def return_panel(rows, tickers=None):
@@ -160,6 +160,40 @@ class TestMst:
             mst(distance_matrix(np.zeros((1, 1)), ["A"]))
 
 
+class TestMstMatchesKruskal:
+    """Exact agreement with an independent Kruskal, ties included."""
+
+    @staticmethod
+    def assert_same_tree(dm):
+        tree = mst(dm)
+        edges, total = kruskal_tree(dm.values, dm.tickers)
+        assert tree.edges == edges
+        assert tree.total_weight == total
+
+    @pytest.mark.parametrize("per_unit", [None, 2, 3, 5])
+    def test_random_matrices(self, per_unit):
+        # quantizing distances to steps of 1/per_unit makes most weights tie
+        rng = np.random.default_rng(10 + (per_unit or 0))
+        for _ in range(80):
+            n = int(rng.integers(2, 61))
+            sym = rng.uniform(0.0, 2.0, (n, n))
+            sym = (sym + sym.T) / 2
+            if per_unit is not None:
+                sym = np.clip(np.round(sym * per_unit) / per_unit, 0.0, 2.0)
+            np.fill_diagonal(sym, 0.0)
+            tickers = [f"{chr(65 + int(k) % 26)}{k}"
+                       for k in rng.permutation(3 * n)[:n]]
+            self.assert_same_tree(distance_matrix(sym, tickers))
+
+    def test_correlation_distances_n300(self):
+        rng = np.random.default_rng(11)
+        factors = rng.normal(0, 0.01, (6, 400))
+        loadings = rng.uniform(0.0, 1.5, (300, 6)) * (rng.random((300, 6)) < 0.3)
+        rows = loadings @ factors + rng.normal(0, 0.01, (300, 400))
+        tickers = [f"S{k:03d}" for k in rng.permutation(300)]
+        self.assert_same_tree(to_distance(pearson_matrix(return_panel(rows, tickers))))
+
+
 class TestValidation:
     def test_correlation_out_of_range_rejected(self):
         bad = np.array([[1.0, 1.5], [1.5, 1.0]])
@@ -170,3 +204,9 @@ class TestValidation:
         with pytest.raises(DataError):
             SpanningTree(nodes=("A", "B", "C"),
                          edges=(TreeEdge("A", "B", 1.0),), total_weight=1.0)
+
+    def test_mst_duplicate_tickers_rejected(self):
+        values = np.ones((3, 3))
+        np.fill_diagonal(values, 0.0)
+        with pytest.raises(DataError):
+            mst(distance_matrix(values, ["A", "B", "A"]))

@@ -374,6 +374,12 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             read_subperiods(path)
 
+    def test_subperiods_sharing_a_file_name_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "p.csv",
+                         "a b,2019-01-01,2019-02-01\na_b,2019-03-01,2019-04-01\n")
+        with pytest.raises(ConfigError, match="'a b' and 'a_b'"):
+            read_subperiods(path)
+
 
 class TestPanelInvariants:
     def test_requires_two_assets(self):

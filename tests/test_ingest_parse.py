@@ -7,6 +7,7 @@ return the same series or raise the same error at the same line.
 
 from __future__ import annotations
 
+import csv
 from datetime import datetime, timedelta
 from zoneinfo import ZoneInfo
 
@@ -194,3 +195,22 @@ def test_other_files_are_left_to_row_parser(tmp_path, text):
     assert _parse_fast(path.read_bytes(), NEW_YORK) is None
     assert outcome(load_bars, path, "America/New_York") == \
         outcome(_load_bars_rows, path, "America/New_York")
+
+
+@pytest.mark.parametrize("header", ["", "timestamp,close\n"])
+def test_byte_order_mark_is_skipped(tmp_path, header):
+    path = tmp_path / "X.csv"
+    path.write_bytes(("\ufeff" + header + "2019-04-01 09:30,1.0\n"
+                      "2019-04-01 10:00,2.0\n2019-04-01 10:30,3.0\n").encode("utf-8"))
+    for parse in (load_bars, _load_bars_rows):
+        assert parse(path, "X").closes.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_oversized_field_is_malformed_row(tmp_path):
+    path = tmp_path / "X.csv"
+    path.write_text("2019-04-01 09:30,1.0\n2019-04-01 10:00,"
+                    + "9" * (csv.field_size_limit() + 1) + "\n")
+    for parse in (load_bars, _load_bars_rows):
+        with pytest.raises(MalformedRow) as err:
+            parse(path, "X")
+        assert err.value.line_no == 2
