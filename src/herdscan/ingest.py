@@ -18,7 +18,7 @@ number.
 The alignment step restricts every series to the regular trading window
 (09:30 inclusive to 16:00 exclusive by default), builds a shared grid from
 timestamps present in at least half of the assets, and forward-fills the
-remaining gaps, logging every filled cell.
+remaining gaps, marking every filled cell in the panel's ``fills`` array.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import codecs
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, time
 from enum import Enum
 from pathlib import Path
@@ -181,18 +181,23 @@ class FilterDecision:
     threshold: float
 
 
+#: The fill method each code of ``AlignedPanel.fills`` names.
+_FILL_METHODS = ("observed", "ffill", "bfill")
+
+
 @dataclass(frozen=True)
 class AlignedPanel:
     """Fully populated price matrix on one shared timestamp grid.
 
     Rows follow ``assets`` order (ascending ticker); columns follow ``grid``.
-    Every cell that was not directly observed appears in ``fill_log``.
+    ``fills`` codes each cell 0 = observed, 1 = ffill, 2 = bfill (all 0 if omitted);
+    a restrict or slice of a panel without fills allocates none.
     """
 
     assets: tuple[AssetMeta, ...]
     grid: np.ndarray                 # datetime64[s], strictly increasing
     prices: np.ndarray               # float64 [n_assets, n_timestamps]
-    fill_log: tuple[FillRecord, ...] = field(default_factory=tuple)
+    fills: np.ndarray | None = None  # int8 [n_assets, n_timestamps]
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype="datetime64[s]")
@@ -200,7 +205,6 @@ class AlignedPanel:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "assets", tuple(self.assets))
-        object.__setattr__(self, "fill_log", tuple(self.fill_log))
         if len(self.assets) < 2:
             raise DataError("panel needs at least 2 assets")
         if grid.size < 3:
@@ -211,13 +215,23 @@ class AlignedPanel:
             raise DataError("price matrix shape does not match assets x grid")
         if not np.isfinite(prices).all() or (prices <= 0).any():
             raise DataError("panel prices must be finite and positive")
+        fills = self.fills
+        if fills is None:  # all observed: a read-only zero view takes no memory
+            object.__setattr__(self, "fills", np.broadcast_to(np.int8(0), prices.shape))
+        elif (np.asarray(fills).dtype != np.int8 or fills.shape != prices.shape
+                or not 0 <= fills.min() <= fills.max() <= 2):
+            raise DataError("fills must be int8 codes 0, 1 or 2, one per price")
 
     @property
     def tickers(self) -> tuple[str, ...]:
         return tuple(a.ticker for a in self.assets)
 
-    def row(self, ticker: str) -> np.ndarray:
-        return self.prices[self.tickers.index(ticker)]
+    @property
+    def fill_log(self) -> tuple[FillRecord, ...]:
+        """One record per filled cell, in (row, column) order."""
+        return tuple(FillRecord(self.assets[r].ticker, self.grid[c],
+                                _FILL_METHODS[self.fills[r, c]])
+                     for r, c in zip(*np.nonzero(self.fills)))
 
     def restrict(self, tickers: Iterable[str]) -> "AlignedPanel":
         """Sub-panel containing only the given tickers (same grid)."""
@@ -226,12 +240,11 @@ class AlignedPanel:
         missing = wanted - {self.assets[i].ticker for i in idx}
         if missing:
             raise DataError(f"tickers not in panel: {sorted(missing)}")
-        kept = {self.assets[i].ticker for i in idx}
         return AlignedPanel(
             assets=tuple(self.assets[i] for i in idx),
             grid=self.grid,
             prices=self.prices[idx],
-            fill_log=tuple(r for r in self.fill_log if r.ticker in kept),
+            fills=self.fills[idx] if self.fills.any() else None,
         )
 
 
@@ -256,6 +269,17 @@ FULL_PERIOD = "full"
 def file_slug(name: str) -> str:
     """A sub-period name as it appears in report file names."""
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
+
+
+def _check_report_names(names: Iterable[str], where: str = "") -> None:
+    """ConfigError, after ``where``, if two periods (or one and ``full``) collide."""
+    seen = {file_slug(FULL_PERIOD): "the full period"}
+    for name in names:
+        slug = file_slug(name)
+        if slug in seen:
+            raise ConfigError(f"{where}{seen[slug]} and {name!r} would write the "
+                              f"same report files (*_{slug}.csv)")
+        seen[slug] = repr(name)
 
 
 # --- CSV loading ------------------------------------------------------------
@@ -592,7 +616,7 @@ def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta],
 
     Gaps are forward-filled from the asset's last prior in-window
     observation; a leading gap is back-filled from its first observation.
-    Every filled cell lands in the panel's fill log.
+    The panel's ``fills`` marks each filled cell 1 (ffill) or 2 (bfill).
     """
     if len(accepted) < 2:
         raise DataError("align needs at least 2 accepted series")
@@ -614,21 +638,19 @@ def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta],
         raise EmptyGrid(f"grid has only {grid.size} timestamps; need at least 3")
 
     prices = np.empty((len(ordered), grid.size), dtype=np.float64)
-    fills: list[FillRecord] = []
+    fills = np.empty(prices.shape, dtype=np.int8)
     for row, (s, mask) in enumerate(zip(ordered, masks)):
         ts, px = s.timestamps[mask], s.closes[mask]
         idx = np.searchsorted(ts, grid, side="right") - 1
         clipped = np.clip(idx, 0, ts.size - 1)
         prices[row] = px[clipped]
-        for col in np.flatnonzero(ts[clipped] != grid):
-            method = "bfill" if idx[col] < 0 else "ffill"
-            fills.append(FillRecord(s.ticker, grid[col], method))
+        fills[row] = np.where(ts[clipped] == grid, 0, np.where(idx < 0, 2, 1))
 
     return AlignedPanel(
         assets=tuple(meta_by_ticker[s.ticker] for s in ordered),
         grid=grid,
         prices=prices,
-        fill_log=tuple(fills),
+        fills=fills,
     )
 
 
@@ -641,14 +663,11 @@ def slice_panel(panel: AlignedPanel, sub: SubPeriod) -> AlignedPanel:
         raise EmptySlice(f"{sub.name}: no panel timestamps in range")
     if kept < 3:
         raise EmptySlice(f"{sub.name}: only {kept} timestamps in range")
-    grid = panel.grid[mask]
-    in_range = set(grid.tolist())
     return AlignedPanel(
         assets=panel.assets,
-        grid=grid,
+        grid=panel.grid[mask],
         prices=panel.prices[:, mask],
-        fill_log=tuple(r for r in panel.fill_log
-                       if r.timestamp.astype("datetime64[s]").item() in in_range),
+        fills=panel.fills[:, mask] if panel.fills.any() else None,
     )
 
 
@@ -686,7 +705,6 @@ def read_subperiods(path: Path | str) -> tuple[SubPeriod, ...]:
     except OSError as exc:
         raise ConfigError(f"cannot read sub-period file {path}: {exc}") from None
     subs: list[SubPeriod] = []
-    name_by_slug: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -694,21 +712,10 @@ def read_subperiods(path: Path | str) -> tuple[SubPeriod, ...]:
         parts = [p.strip() for p in body.split(",")]
         if len(parts) != 3:
             raise ConfigError(f"{path}:{line_no}: expected 'name,start,end'")
-        name = parts[0]
-        slug = file_slug(name)
-        other = name_by_slug.get(slug)
-        if other == name:
-            raise ConfigError(f"{path}:{line_no}: duplicate sub-period {name!r}")
-        if other is not None:
-            raise ConfigError(
-                f"{path}:{line_no}: sub-periods {other!r} and {name!r} would "
-                f"write the same report files (*_{slug}.csv)")
-        if name == FULL_PERIOD:
-            raise ConfigError(f"{path}:{line_no}: name {FULL_PERIOD!r} is reserved")
         try:
             start, end = date.fromisoformat(parts[1]), date.fromisoformat(parts[2])
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: {exc}") from None
-        subs.append(SubPeriod(name, start, end))
-        name_by_slug[slug] = name
+        subs.append(SubPeriod(parts[0], start, end))
+    _check_report_names((s.name for s in subs), where=f"{path}: ")
     return tuple(subs)

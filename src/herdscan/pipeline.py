@@ -6,7 +6,8 @@ Two analysis passes run over every configured sub-period plus the implicit
 assets of one vehicle class at a time. The combined pass clusters the full
 cross-vehicle panel (correlations, spanning tree, community detection) and
 fits the regressions inside each community, using the community's own mean
-return as the market return.
+return as the market return. One per-sub-period chain serves
+``run_combined``, ``run_analysis`` and ``community_structure``.
 
 Sub-periods are independent work units; ``HERDSCAN_THREADS`` caps the
 worker count. Report files are byte-deterministic for a given input and
@@ -22,10 +23,10 @@ import os
 import time as time_mod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from . import data as bundled_data
 from .community import Partition, graph_from_tree, louvain
 from .econometrics import (
     BetaReport,
@@ -61,15 +62,15 @@ from .ingest import (
     SubPeriod,
     TradingWindow,
     Vehicle,
+    _check_report_names,
     align,
     file_slug,
     filter_by_missing,
     load_bars,
-    read_subperiods,
     shared_grid,
     slice_panel,
 )
-from .returns import CsadSeries, csad, log_returns
+from .returns import CsadSeries, ReturnPanel, csad, log_returns
 
 SCHEMA_VERSION = 1
 
@@ -202,21 +203,28 @@ def full_subperiod(panel: AlignedPanel) -> SubPeriod:
     return SubPeriod(FULL_PERIOD, first, last)
 
 
-def default_subperiods() -> tuple[SubPeriod, ...]:
-    return read_subperiods(bundled_data.subperiods_path())
+def _with_full_period(panel: AlignedPanel,
+                      subs: Sequence[SubPeriod]) -> list[SubPeriod]:
+    """The sub-periods plus the full period, each with report files of its own."""
+    _check_report_names(sub.name for sub in subs)
+    return [*subs, full_subperiod(panel)]
 
 
 # --- per-vehicle analysis -------------------------------------------------------
 
-def _fit_verdict(cs: CsadSeries, *, min_obs: int, min_regime: int,
-                 hac: bool) -> HerdingVerdict:
-    fit4 = fit_csad_basic(cs, min_obs=min_obs, hac=hac)
+def _herding(cs: CsadSeries, *, min_obs: int, min_regime: int,
+             hac: bool) -> tuple[HerdingVerdict | None, str | None]:
+    """The herding verdict of a dispersion series, or why it was skipped."""
     try:
-        fit5: RegressionFit | None = fit_csad_updown(
-            cs, min_obs=min_obs, min_regime=min_regime, hac=hac)
-    except OneSidedSample:
-        fit5 = None
-    return verdict(fit4, fit5)
+        fit4 = fit_csad_basic(cs, min_obs=min_obs, hac=hac)
+        try:
+            fit5: RegressionFit | None = fit_csad_updown(
+                cs, min_obs=min_obs, min_regime=min_regime, hac=hac)
+        except OneSidedSample:
+            fit5 = None
+        return verdict(fit4, fit5), None
+    except _SKIP_ERRORS as exc:
+        return None, _SKIP_REASONS[type(exc)]
 
 
 def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
@@ -241,7 +249,7 @@ def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
             if len(by_vehicle.get(v, [])) < 2:
                 raise VehicleTooSmall(v.value)
 
-    all_subs = list(subs) + [full_subperiod(panel)]
+    all_subs = _with_full_period(panel, subs)
 
     def one(unit: tuple[Vehicle, SubPeriod]) -> VehicleCell:
         vehicle, sub = unit
@@ -249,16 +257,13 @@ def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
         if len(tickers) < 2:
             return VehicleCell(vehicle, sub.name, None, "too_few_assets",
                                len(tickers), 0)
-        sub_panel = None
         try:
             sub_panel = slice_panel(panel.restrict(tickers), sub)
-            cs = csad(log_returns(sub_panel))
-            v = _fit_verdict(cs, min_obs=min_obs, min_regime=min_regime, hac=hac)
-            return VehicleCell(vehicle, sub.name, v, None, len(tickers), len(cs))
-        except _SKIP_ERRORS as exc:
-            n_obs = sub_panel.grid.size - 1 if sub_panel is not None else 0
-            return VehicleCell(vehicle, sub.name, None,
-                               _SKIP_REASONS[type(exc)], len(tickers), n_obs)
+        except EmptySlice:
+            return VehicleCell(vehicle, sub.name, None, "empty_slice", len(tickers), 0)
+        cs = csad(log_returns(sub_panel))
+        v, reason = _herding(cs, min_obs=min_obs, min_regime=min_regime, hac=hac)
+        return VehicleCell(vehicle, sub.name, v, reason, len(tickers), len(cs))
 
     units = [(v, sub) for v in wanted for sub in all_subs]
     cells = _map_units(one, units, max_workers)
@@ -279,38 +284,52 @@ def sector_distribution(members: Sequence[AssetMeta]) -> dict[Sector, float]:
             for sector in sorted(counts, key=lambda s: s.value)}
 
 
-def _analyze_sub_combined(panel: AlignedPanel, sub: SubPeriod, *,
-                          min_community_size: int, louvain_weights: str,
-                          min_obs: int, min_regime: int, hac: bool,
-                          ) -> tuple[SpanningTree | None,
-                                     Partition | None,
-                                     tuple[CommunityReport, ...]]:
+def _sub_structure(panel: AlignedPanel, louvain_weights: str,
+                   regress: Callable | None, sub: SubPeriod):
+    """(name, spanning tree, partition, community reports) of one sub-period."""
     try:
         sub_panel = slice_panel(panel, sub)
     except EmptySlice:
-        return None, None, ()
+        return sub.name, None, None, ()
     rp = log_returns(sub_panel)
     tree = mst(to_distance(pearson_matrix(rp)))
     partition = louvain(graph_from_tree(tree, louvain_weights))
+    reports = regress(rp, partition, sub.name) if regress else ()
+    return sub.name, tree, partition, reports
 
-    meta_by_ticker = {a.ticker: a for a in panel.assets}
+
+def _community_reports(rp: ReturnPanel, partition: Partition, sub_name: str, *,
+                       min_community_size: int, min_obs: int, min_regime: int,
+                       hac: bool) -> tuple[CommunityReport, ...]:
+    """Sector mix and herding verdict of every community of a partition."""
+    meta_by_ticker = {a.ticker: a for a in rp.assets}
     reports: list[CommunityReport] = []
     for cid, members in enumerate(partition.communities):
         tickers = tuple(sorted(members))
-        metas = [meta_by_ticker[t] for t in tickers]
-        mix = sector_distribution(metas)
+        mix = sector_distribution([meta_by_ticker[t] for t in tickers])
         if len(tickers) < min_community_size:
-            reports.append(CommunityReport(sub.name, cid, tickers, None, mix,
-                                           skipped_reason="below_min_size"))
-            continue
-        try:
-            cs = csad(rp.restrict(tickers))
-            v = _fit_verdict(cs, min_obs=min_obs, min_regime=min_regime, hac=hac)
-            reports.append(CommunityReport(sub.name, cid, tickers, v, mix))
-        except _SKIP_ERRORS as exc:
-            reports.append(CommunityReport(sub.name, cid, tickers, None, mix,
-                                           skipped_reason=_SKIP_REASONS[type(exc)]))
-    return tree, partition, tuple(reports)
+            v, reason = None, "below_min_size"
+        else:
+            v, reason = _herding(csad(rp.restrict(tickers)), min_obs=min_obs,
+                                 min_regime=min_regime, hac=hac)
+        reports.append(CommunityReport(sub_name, cid, tickers, v, mix, reason))
+    return tuple(reports)
+
+
+def _regressions(min_community_size: int, min_obs: int, min_regime: int,
+                 hac: bool) -> Callable:
+    """``_community_reports`` with its options checked and bound."""
+    if min_community_size < 2:
+        raise ConfigError("min_community_size must be at least 2")
+    return partial(_community_reports, min_community_size=min_community_size,
+                   min_obs=min_obs, min_regime=min_regime, hac=hac)
+
+
+def _combined(panel: AlignedPanel, subs: Sequence[SubPeriod], louvain_weights: str,
+              max_workers: int | None, regress: Callable | None = None) -> list[tuple]:
+    """``_sub_structure`` of every sub-period and the full period."""
+    one = partial(_sub_structure, panel, louvain_weights, regress)
+    return _map_units(one, _with_full_period(panel, subs), max_workers)
 
 
 def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
@@ -320,20 +339,11 @@ def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  max_workers: int | None = None,
                  ) -> dict[str, tuple[CommunityReport, ...]]:
     """Community detection plus per-community herding for every sub-period."""
-    if min_community_size < 2:
-        raise ConfigError("min_community_size must be at least 2")
+    regress = _regressions(min_community_size, min_obs, min_regime, hac)
     if len(panel.assets) < 3:
         raise DataError("combined analysis needs at least 3 assets")
-    all_subs = list(subs) + [full_subperiod(panel)]
-
-    def one(sub: SubPeriod):
-        _, _, reports = _analyze_sub_combined(
-            panel, sub, min_community_size=min_community_size,
-            louvain_weights=louvain_weights, min_obs=min_obs,
-            min_regime=min_regime, hac=hac)
-        return sub.name, reports
-
-    return dict(_map_units(one, all_subs, max_workers))
+    return {name: reports for name, _, _, reports
+            in _combined(panel, subs, louvain_weights, max_workers, regress)}
 
 
 def community_structure(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
@@ -341,15 +351,8 @@ def community_structure(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                         max_workers: int | None = None,
                         ) -> dict[str, tuple[SpanningTree | None, Partition | None]]:
     """Spanning tree and partition only (no regressions) per sub-period."""
-    all_subs = list(subs) + [full_subperiod(panel)]
-
-    def one(sub: SubPeriod):
-        tree, partition, _ = _analyze_sub_combined(
-            panel, sub, min_community_size=10 ** 9,
-            louvain_weights=louvain_weights, min_obs=10, min_regime=5, hac=False)
-        return sub.name, (tree, partition)
-
-    return dict(_map_units(one, all_subs, max_workers))
+    return {name: (tree, partition) for name, tree, partition, _
+            in _combined(panel, subs, louvain_weights, max_workers)}
 
 
 # --- betas ------------------------------------------------------------------------
@@ -390,8 +393,7 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  max_workers: int | None = None,
                  config_extra: Mapping | None = None) -> AnalysisRun:
     """Run both analysis passes plus beta reports and collect timings."""
-    if min_community_size < 2:
-        raise ConfigError("min_community_size must be at least 2")
+    regress = _regressions(min_community_size, min_obs, min_regime, hac)
     config = {
         "schema_version": SCHEMA_VERSION,
         "n_assets": len(panel.assets),
@@ -421,19 +423,9 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
     timings["per_vehicle"] = time_mod.perf_counter() - t0
 
     t1 = time_mod.perf_counter()
-    all_subs = list(subs) + [full_subperiod(panel)]
-    combined: dict[str, tuple[CommunityReport, ...]] = {}
-    trees: dict[str, SpanningTree | None] = {}
-
-    def one(sub: SubPeriod):
-        return sub.name, _analyze_sub_combined(
-            panel, sub, min_community_size=min_community_size,
-            louvain_weights=louvain_weights, min_obs=min_obs,
-            min_regime=min_regime, hac=hac)
-
-    for name, (tree, _, reports) in _map_units(one, all_subs, max_workers):
-        combined[name] = reports
-        trees[name] = tree
+    results = _combined(panel, subs, louvain_weights, max_workers, regress)
+    combined = {name: reports for name, _, _, reports in results}
+    trees = {name: tree for name, tree, _, _ in results}
     timings["combined"] = time_mod.perf_counter() - t1
 
     t2 = time_mod.perf_counter()
@@ -443,7 +435,7 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
 
     return AnalysisRun(
         config=config, config_digest=digest,
-        sub_names=tuple(s.name for s in subs) + (FULL_PERIOD,),
+        sub_names=tuple(combined),
         per_vehicle=per_vehicle, combined=combined, trees=trees,
         beta_reports=beta_reports, timings=timings,
     )

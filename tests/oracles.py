@@ -3,8 +3,10 @@
 Everything here is deliberately brute force and shares no code with the
 implementations under test: normal-equation least squares, spanning-tree
 enumeration via Prufer sequences, Kruskal's algorithm with component
-relabelling, exhaustive set-partition modularity search, and the literal
-lagged-sum form of the Newey-West covariance.
+relabelling, exhaustive set-partition modularity search, the literal
+lagged-sum form of the Newey-West covariance, and the per-cell fill log
+that aligned panels carried before their fill array, with the filters
+``restrict`` and ``slice_panel`` applied to it record by record.
 """
 
 from __future__ import annotations
@@ -155,3 +157,35 @@ def rand_index(a: np.ndarray, b: np.ndarray) -> float:
     same_a = (a[:, None] == a[None, :])[iu]
     same_b = (b[:, None] == b[None, :])[iu]
     return float((same_a == same_b).mean())
+
+
+def fill_log(stamps: dict[str, np.ndarray], grid: np.ndarray,
+             start_minute: int, end_minute: int) -> list[tuple]:
+    """(ticker, timestamp, method) of every grid cell a series lacks, in
+    (ticker, timestamp) order. The cell is "bfill" if the series has no
+    in-window bar before it and "ffill" otherwise, whether or not that
+    earlier bar is on the grid."""
+    records = []
+    for ticker in sorted(stamps):
+        ts = stamps[ticker]
+        minutes = ((ts - ts.astype("datetime64[D]"))
+                   .astype("timedelta64[m]").astype(np.int64))
+        ts = ts[(minutes >= start_minute) & (minutes < end_minute)]
+        idx = np.searchsorted(ts, grid, side="right") - 1
+        clipped = np.clip(idx, 0, ts.size - 1)
+        for col in np.flatnonzero(ts[clipped] != grid):
+            records.append((ticker, grid[col], "bfill" if idx[col] < 0 else "ffill"))
+    return records
+
+
+def restrict_fill_log(records: list[tuple], tickers) -> list[tuple]:
+    """The records of the given tickers."""
+    kept = set(tickers)
+    return [r for r in records if r[0] in kept]
+
+
+def slice_fill_log(records: list[tuple], grid: np.ndarray) -> list[tuple]:
+    """The records whose timestamp is on ``grid``."""
+    in_range = set(grid.tolist())
+    return [r for r in records
+            if r[1].astype("datetime64[s]").item() in in_range]

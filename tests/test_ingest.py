@@ -18,6 +18,7 @@ from herdscan.errors import (
     UnfillableAsset,
 )
 from herdscan.ingest import (
+    DEFAULT_TRADING_WINDOW,
     AlignedPanel,
     AssetMeta,
     RawSeries,
@@ -34,6 +35,7 @@ from herdscan.ingest import (
     slice_panel,
 )
 
+import oracles
 from generators import intraday_grid, stock_meta
 
 
@@ -182,7 +184,7 @@ class TestAlign:
         a = series("A", grid, np.linspace(100, 109, 10))
         b = series("B", grid, np.linspace(50, 59, 10))
         panel = align([a, b], [stock_meta("A"), stock_meta("B")])
-        assert panel.fill_log == ()
+        assert not panel.fills.any()
         assert panel.grid.tolist() == grid.tolist()
         assert panel.tickers == ("A", "B")
 
@@ -205,8 +207,7 @@ class TestAlign:
         a = series("A", grid[2:], np.linspace(100, 107, 8))
         b = series("B", grid, np.linspace(50, 59, 10))
         panel = align([a, b], [stock_meta("A"), stock_meta("B")])
-        methods = {r.method for r in panel.fill_log}
-        assert methods == {"bfill"}
+        assert panel.fills.tolist() == [[2, 2] + [0] * 8, [0] * 10]
         assert panel.prices[0, 0] == panel.prices[0, 2] == 100.0
 
     def test_overnight_bars_excluded(self):
@@ -263,7 +264,7 @@ class TestAlign:
             list(panel.assets))
         assert again.grid.tolist() == panel.grid.tolist()
         assert np.array_equal(again.prices, panel.prices)
-        assert again.fill_log == ()
+        assert not again.fills.any()
 
     def test_fill_fraction_bounded_by_threshold(self):
         # drop below-threshold numbers of bars, then check the panel-level bound
@@ -282,7 +283,125 @@ class TestAlign:
             assert filter_by_missing(s, grid, Vehicle.STOCK).accepted
         panel = align(series_list, metas)
         stock_threshold = 0.01
-        assert len(panel.fill_log) <= stock_threshold * panel.prices.size
+        assert np.count_nonzero(panel.fills) <= stock_threshold * panel.prices.size
+
+
+def gappy_series(rng, n_assets: int, n_bars: int) -> list[RawSeries]:
+    """Series on the 30-minute grid with random gaps, some leading, plus
+    off-grid bars inside the window (some on the business day before the
+    grid starts) and bars outside it."""
+    grid = intraday_grid(n_bars)
+    days = np.unique(grid.astype("datetime64[D]"))
+    days = np.concatenate([[np.datetime64("2019-03-29")], days])
+    series = []
+    for i in range(n_assets):
+        keep = rng.random(n_bars) > rng.uniform(0.0, 0.3)
+        if rng.random() < 0.4:
+            keep[:rng.integers(1, 8)] = False
+        keep[rng.integers(n_bars // 2, n_bars)] = True
+        minutes = rng.choice([9 * 60 + 45, 11 * 60 + 15, 15 * 60 + 59, 3 * 60,
+                              16 * 60 + 30], size=rng.integers(0, 5))
+        extra = (rng.choice(days, size=minutes.size).astype("datetime64[m]")
+                 + minutes.astype("timedelta64[m]"))
+        stamps = np.unique(np.concatenate([grid[keep], extra.astype("datetime64[s]")]))
+        closes = 100 * np.exp(rng.normal(0, 0.01, stamps.size).cumsum())
+        series.append(RawSeries(f"T{i}", stamps, closes))
+    return series
+
+
+def oracle_fill_log(series: list[RawSeries], grid: np.ndarray) -> list[tuple]:
+    window = DEFAULT_TRADING_WINDOW
+    return oracles.fill_log({s.ticker: s.timestamps for s in series}, grid,
+                            window.start_minute, window.end_minute)
+
+
+class TestFills:
+    def test_fill_log_matches_oracle_through_restricts_and_slices(self):
+        rng = np.random.default_rng(20)
+        seen = {"bfill": 0, "ffill": 0, "leading_ffill": 0}
+        for _ in range(60):
+            series = gappy_series(rng, int(rng.integers(2, 7)),
+                                  int(rng.integers(26, 140)))
+            panel = align(series, [stock_meta(s.ticker) for s in series])
+            expected = oracle_fill_log(series, panel.grid)
+            assert panel.fill_log == tuple(expected)
+            for ticker, stamp, method in expected:
+                seen[method] += 1
+                on_grid = np.intersect1d(series[int(ticker[1:])].timestamps,
+                                         panel.grid)
+                seen["leading_ffill"] += bool(method == "ffill" and on_grid.size
+                                              and stamp < on_grid[0])
+            for _ in range(5):
+                if rng.random() < 0.4 and len(panel.assets) > 2:
+                    tickers = rng.choice(panel.tickers, int(rng.integers(
+                        2, len(panel.assets) + 1)), replace=False).tolist()
+                    panel = panel.restrict(tickers)
+                    expected = oracles.restrict_fill_log(expected, tickers)
+                else:
+                    days = np.unique(panel.grid.astype("datetime64[D]"))
+                    a, b = sorted(rng.integers(0, days.size, 2))
+                    try:
+                        panel = slice_panel(panel, SubPeriod(
+                            "s", days[a].item(), days[b].item()))
+                    except EmptySlice:
+                        continue
+                    expected = oracles.slice_fill_log(expected, panel.grid)
+                assert panel.fill_log == tuple(expected)
+                assert panel.fills.shape == panel.prices.shape
+        # the generator reaches every kind of fill
+        assert min(seen.values()) > 0, seen
+
+    def test_leading_gap_after_off_grid_bar_is_ffill(self):
+        grid = intraday_grid(10)
+        early = np.array(["2019-03-29T10:00:00"], dtype="datetime64[s]")
+        a = series("A", np.concatenate([early, grid[2:]]),
+                   np.concatenate([[42.0], np.full(8, 100.0)]))
+        others = [series(t, grid, np.full(10, 50.0)) for t in "BC"]
+        panel = align([a, *others], [stock_meta(t) for t in "ABC"])
+        assert panel.grid.tolist() == grid.tolist()
+        assert panel.fill_log == (("A", grid[0], "ffill"), ("A", grid[1], "ffill"))
+        assert panel.fills[0, :3].tolist() == [1, 1, 0]
+        assert panel.prices[0, 0] == panel.prices[0, 1] == 42.0
+
+    def test_slice_starting_in_a_gap_keeps_ffill(self):
+        grid = intraday_grid(26)  # two trading days
+        keep = np.ones(26, dtype=bool)
+        keep[13:15] = False  # the first two bars of day two
+        a = series("A", grid[keep], np.full(24, 100.0))
+        b = series("B", grid, np.full(26, 50.0))
+        panel = align([a, b], [stock_meta("A"), stock_meta("B")])
+        day_two = grid[13].astype("datetime64[D]").item()
+        sliced = slice_panel(panel, SubPeriod("d2", day_two, day_two))
+        assert sliced.fill_log == (("A", grid[13], "ffill"), ("A", grid[14], "ffill"))
+        assert sliced.fills.tolist() == [[1, 1] + [0] * 11, [0] * 13]
+
+    def test_observed_when_fills_left_out(self):
+        panel = AlignedPanel(assets=(stock_meta("A"), stock_meta("B")),
+                             grid=intraday_grid(5), prices=np.full((2, 5), 1.0))
+        sub = SubPeriod("d", date(2019, 4, 1), date(2019, 4, 1))
+        for p in (panel, panel.restrict(["B", "A"]), slice_panel(panel, sub)):
+            assert p.fills.dtype == np.int8 and p.fills.shape == p.prices.shape
+            assert not p.fills.any()
+            assert p.fill_log == ()
+
+    @pytest.mark.parametrize("fills", [np.zeros((2, 4), dtype=np.int8),
+                                       np.zeros((2, 5), dtype=np.int64),
+                                       [[0] * 5] * 2],
+                             ids=["shape", "dtype", "list"])
+    def test_wrong_shape_or_type_rejected(self, fills):
+        with pytest.raises(DataError):
+            AlignedPanel(assets=(stock_meta("A"), stock_meta("B")),
+                         grid=intraday_grid(5), prices=np.full((2, 5), 1.0),
+                         fills=fills)
+
+    @pytest.mark.parametrize("code", [3, -1])
+    def test_unknown_code_rejected(self, code):
+        fills = np.zeros((2, 5), dtype=np.int8)
+        fills[1, 2] = code
+        with pytest.raises(DataError):
+            AlignedPanel(assets=(stock_meta("A"), stock_meta("B")),
+                         grid=intraday_grid(5), prices=np.full((2, 5), 1.0),
+                         fills=fills)
 
 
 class TestSlice:
@@ -372,6 +491,11 @@ class TestConfigFiles:
         path = write_csv(tmp_path, "p.csv",
                          "a,2019-01-01,2019-02-01\na,2019-03-01,2019-04-01\n")
         with pytest.raises(ConfigError):
+            read_subperiods(path)
+
+    def test_subperiod_named_full_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "p.csv", "full,2019-01-01,2019-02-01\n")
+        with pytest.raises(ConfigError, match="the full period and 'full'"):
             read_subperiods(path)
 
     def test_subperiods_sharing_a_file_name_rejected(self, tmp_path):

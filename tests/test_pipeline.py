@@ -9,6 +9,7 @@ import pytest
 from herdscan.errors import ConfigError, DataError, EmptyCommunity, VehicleTooSmall
 from herdscan.ingest import AssetMeta, Sector, SubPeriod, Vehicle
 from herdscan.pipeline import (
+    community_structure,
     compute_beta_reports,
     emit_report,
     full_subperiod,
@@ -185,6 +186,52 @@ class TestRunCombined:
         panel = random_walk_panel(3, 2, 60)
         with pytest.raises(DataError):
             run_combined(panel, [])
+
+
+def twelve_asset_run_inputs():
+    return vehicle_event_panel(4, n_per_vehicle=4, event_bars=650, calm_bars=350)
+
+
+ENTRY_POINTS = {f.__name__: f for f in (run_analysis, run_per_vehicle,
+                                        run_combined, community_structure)}
+
+
+class TestCombinedPass:
+    @pytest.mark.parametrize("weights", ["unit", "similarity"])
+    def test_community_structure_matches_run_analysis(self, weights):
+        panel, event, calm = twelve_asset_run_inputs()
+        empty = SubPeriod("empty", date(2030, 1, 1), date(2030, 1, 2))
+        subs = [event, empty, calm]
+        run = run_analysis(panel, subs, louvain_weights=weights, max_workers=1)
+        structures = community_structure(panel, subs, louvain_weights=weights,
+                                         max_workers=2)
+        assert tuple(structures) == run.sub_names == ("event", "empty", "calm",
+                                                      "full")
+        assert structures["empty"] == (None, None)
+        assert run.trees["empty"] is None and run.combined["empty"] == ()
+        for name, (tree, partition) in structures.items():
+            assert tree == run.trees[name]
+            reported = {t: r.community_id for r in run.combined[name]
+                        for t in r.members}
+            assert (dict(partition.assignment) if partition else {}) == reported
+
+    @pytest.mark.parametrize("entry", ["run_analysis", "run_combined"])
+    def test_min_community_size_below_two_rejected(self, entry):
+        panel, event, calm = twelve_asset_run_inputs()
+        with pytest.raises(ConfigError, match="min_community_size"):
+            ENTRY_POINTS[entry](panel, [event, calm], min_community_size=1,
+                                max_workers=1)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("names", [("a b", "a_b"), ("calm", "calm"), ("full",)],
+                             ids=["same_file_name", "same_name", "full"])
+    def test_subperiods_sharing_report_files_rejected(self, entry, names):
+        # emit_report would write their report files over each other
+        panel, event, _ = twelve_asset_run_inputs()
+        subs = [SubPeriod(name, event.start, event.end) for name in names]
+        expected = "'a b' and 'a_b'" if names == ("a b", "a_b") else names[-1]
+        with pytest.raises(ConfigError, match=expected):
+            ENTRY_POINTS[entry](panel, subs, max_workers=1)
 
 
 class TestBetaReports:
