@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 from . import data as bundled_data
+from .community import LOUVAIN_WEIGHTINGS
 from .errors import ConfigError, DataError, HerdscanError
 from .ingest import (
     DEFAULT_TIMEZONE,
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Newey-West standard errors")
     analyze.add_argument("--beta-proxy", default=None, metavar="TICKER",
                          help="market proxy ticker (default: equal-weight mean)")
-    analyze.add_argument("--louvain-weights", choices=["unit", "similarity"],
+    analyze.add_argument("--louvain-weights", choices=LOUVAIN_WEIGHTINGS,
                          default="unit", help="edge weighting for the community graph")
     analyze.add_argument("--include-timings", action="store_true",
                          help="embed wall-clock timings in run.json "
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     communities = commands.add_parser(
         "communities", help="export spanning trees and partitions only")
     _add_common(communities, sectors_required=False, subperiods=True)
-    communities.add_argument("--louvain-weights", choices=["unit", "similarity"],
+    communities.add_argument("--louvain-weights", choices=LOUVAIN_WEIGHTINGS,
                              default="unit")
 
     series = commands.add_parser(

@@ -328,6 +328,10 @@ def louvain(g: WeightedGraph, *, order: Sequence[Node] | None = None,
     return Partition.from_assignment(g, node_to_comm, order=order0)
 
 
+#: Edge weightings ``graph_from_tree`` accepts.
+LOUVAIN_WEIGHTINGS = ("unit", "similarity")
+
+
 def graph_from_tree(tree: SpanningTree,
                     weighting: str = "unit") -> WeightedGraph:
     """Build the Louvain input graph from a spanning tree.

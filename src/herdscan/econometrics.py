@@ -14,6 +14,15 @@ at the 1% / 5% / 10% two-sided levels; the verdict additionally requires
 the negative sign. In the split model the up-regime squared coefficient
 is reported as ``gamma2`` and the down-regime squared coefficient as
 ``gamma3``, matching the usual reporting convention for the two regimes.
+
+The length-n inner products (the residual sum of squares, and the variance
+and covariance of a beta) are ``np.einsum`` reductions, not ``@``. ``@`` on
+two vectors is BLAS ``ddot``, which OpenBLAS splits across its thread pool
+above 10 000 elements. Waking the pool costs milliseconds: on a 2-core
+x86-64 machine one ``ols`` at n = 10 001 took 7.9 ms that way and 0.3 ms
+without it. The split partial sums also add up in an order that depends on
+the thread count, so the last digits of a report would depend on
+``OPENBLAS_NUM_THREADS``. ``einsum`` never calls BLAS.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats as sstats
+from scipy.special import stdtr
 
 from .errors import (
     DegenerateRegressor,
@@ -126,32 +135,36 @@ def ols(design: np.ndarray, response: np.ndarray, *,
     Classical homoskedastic standard errors by default; ``hac=True``
     switches to Newey-West with the usual floor(4*(n/100)^(2/9)) lag.
     Two-sided p-values come from the Student-t with n-k degrees of freedom.
+    A NaN or infinite value in the design or the response raises ValueError.
     """
     X = np.asarray(design, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
         raise ValueError("design must be [n, k] and response [n]")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("design and response must be finite")
     n, k = X.shape
     if n <= k:
         raise TooFewObservations(f"need n > k, got n={n}, k={k}")
 
-    q_mat, r_mat, piv = sla.qr(X, mode="economic", pivoting=True)
+    q_mat, r_mat, piv = sla.qr(X, mode="economic", pivoting=True,
+                               check_finite=False)
     diag = np.abs(np.diag(r_mat))
     tol = (diag[0] if diag[0] > 0 else 1.0) * max(n, k) * np.finfo(np.float64).eps
     bad = np.nonzero(diag <= tol)[0]
     if diag[0] == 0 or bad.size:
         raise RankDeficient(int(piv[bad[0]] if bad.size else piv[0]))
 
-    coef_pivoted = sla.solve_triangular(r_mat, q_mat.T @ y)
+    coef_pivoted = sla.solve_triangular(r_mat, q_mat.T @ y, check_finite=False)
     coef = np.empty(k)
     coef[piv] = coef_pivoted
 
     residuals = y - X @ coef
     dof = n - k
-    rss = float(residuals @ residuals)
+    rss = float(np.einsum("i,i->", residuals, residuals))
     s2 = rss / dof
 
-    r_inv = sla.solve_triangular(r_mat, np.eye(k))
+    r_inv = sla.solve_triangular(r_mat, np.eye(k), check_finite=False)
     xtx_inv_pivoted = r_inv @ r_inv.T
     xtx_inv = np.empty_like(xtx_inv_pivoted)
     xtx_inv[np.ix_(piv, piv)] = xtx_inv_pivoted
@@ -165,11 +178,19 @@ def ols(design: np.ndarray, response: np.ndarray, *,
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, coef / se,
                      np.where(coef == 0, 0.0, np.sign(coef) * np.inf))
-    p = np.where(np.isinf(t), 0.0, 2.0 * sstats.t.sf(np.abs(t), dof))
 
     return RegressionFit(coefficients=coef, std_errors=se, t_stats=t,
-                         p_values=p, n_obs=n, dof=dof,
+                         p_values=_two_sided_p(t, dof), n_obs=n, dof=dof,
                          residual_variance=s2, model=model)
+
+
+def _two_sided_p(t: np.ndarray, dof: int) -> np.ndarray:
+    """Two-sided Student-t p-values of t statistics; 0 where |t| is infinite.
+
+    ``stdtr`` is the Student-t CDF that ``scipy.stats.t.sf`` evaluates (at
+    -|t|), so the values are the same bits without importing scipy.stats.
+    """
+    return np.where(np.isinf(t), 0.0, 2.0 * stdtr(dof, -np.abs(t)))
 
 
 def newey_west_lag(n_obs: int) -> int:
@@ -277,10 +298,10 @@ def capm_beta(asset: np.ndarray, proxy: np.ndarray, *,
     if a.size < min_obs:
         raise TooFewObservations(f"{a.size} observations, need {min_obs}")
     p_dev = p - p.mean()
-    var = float(p_dev @ p_dev)
+    var = float(np.einsum("i,i->", p_dev, p_dev))
     if var < 1e-30:
         raise ZeroVarianceProxy("proxy returns have zero variance")
-    return float((a - a.mean()) @ p_dev / var)
+    return float(np.einsum("i,i->", a - a.mean(), p_dev) / var)
 
 
 def beta_distance_stats(betas: Mapping[str, float]) -> tuple[float, float]:

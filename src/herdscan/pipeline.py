@@ -27,7 +27,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .community import Partition, graph_from_tree, louvain
+from .community import LOUVAIN_WEIGHTINGS, Partition, graph_from_tree, louvain
 from .econometrics import (
     BetaReport,
     HerdingVerdict,
@@ -250,20 +250,24 @@ def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                 raise VehicleTooSmall(v.value)
 
     all_subs = _with_full_period(panel, subs)
+    # Each vehicle is restricted once; its sub-periods slice that panel.
+    vehicle_panels = {v: panel.restrict(by_vehicle[v]) for v in wanted
+                      if len(by_vehicle[v]) >= 2}
 
     def one(unit: tuple[Vehicle, SubPeriod]) -> VehicleCell:
         vehicle, sub = unit
-        tickers = by_vehicle.get(vehicle, [])
-        if len(tickers) < 2:
+        n_assets = len(by_vehicle[vehicle])
+        vehicle_panel = vehicle_panels.get(vehicle)
+        if vehicle_panel is None:
             return VehicleCell(vehicle, sub.name, None, "too_few_assets",
-                               len(tickers), 0)
+                               n_assets, 0)
         try:
-            sub_panel = slice_panel(panel.restrict(tickers), sub)
+            sub_panel = slice_panel(vehicle_panel, sub)
         except EmptySlice:
-            return VehicleCell(vehicle, sub.name, None, "empty_slice", len(tickers), 0)
+            return VehicleCell(vehicle, sub.name, None, "empty_slice", n_assets, 0)
         cs = csad(log_returns(sub_panel))
         v, reason = _herding(cs, min_obs=min_obs, min_regime=min_regime, hac=hac)
-        return VehicleCell(vehicle, sub.name, v, reason, len(tickers), len(cs))
+        return VehicleCell(vehicle, sub.name, v, reason, n_assets, len(cs))
 
     units = [(v, sub) for v in wanted for sub in all_subs]
     cells = _map_units(one, units, max_workers)
@@ -325,6 +329,13 @@ def _regressions(min_community_size: int, min_obs: int, min_regime: int,
                    min_obs=min_obs, min_regime=min_regime, hac=hac)
 
 
+def _check_weighting(louvain_weights: str) -> None:
+    """ConfigError unless ``louvain_weights`` names a known edge weighting."""
+    if louvain_weights not in LOUVAIN_WEIGHTINGS:
+        raise ConfigError(f"louvain_weights must be one of {LOUVAIN_WEIGHTINGS},"
+                          f" got {louvain_weights!r}")
+
+
 def _combined(panel: AlignedPanel, subs: Sequence[SubPeriod], louvain_weights: str,
               max_workers: int | None, regress: Callable | None = None) -> list[tuple]:
     """``_sub_structure`` of every sub-period and the full period."""
@@ -339,6 +350,7 @@ def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  max_workers: int | None = None,
                  ) -> dict[str, tuple[CommunityReport, ...]]:
     """Community detection plus per-community herding for every sub-period."""
+    _check_weighting(louvain_weights)
     regress = _regressions(min_community_size, min_obs, min_regime, hac)
     if len(panel.assets) < 3:
         raise DataError("combined analysis needs at least 3 assets")
@@ -351,6 +363,7 @@ def community_structure(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                         max_workers: int | None = None,
                         ) -> dict[str, tuple[SpanningTree | None, Partition | None]]:
     """Spanning tree and partition only (no regressions) per sub-period."""
+    _check_weighting(louvain_weights)
     return {name: (tree, partition) for name, tree, partition, _
             in _combined(panel, subs, louvain_weights, max_workers)}
 
@@ -393,6 +406,7 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  max_workers: int | None = None,
                  config_extra: Mapping | None = None) -> AnalysisRun:
     """Run both analysis passes plus beta reports and collect timings."""
+    _check_weighting(louvain_weights)
     regress = _regressions(min_community_size, min_obs, min_regime, hac)
     config = {
         "schema_version": SCHEMA_VERSION,

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import herdscan
 from herdscan.econometrics import (
     Model,
     Significance,
+    _two_sided_p,
     basic_design,
     beta_distance_stats,
     build_beta_report,
@@ -128,6 +135,48 @@ class TestOls:
     def test_lag_rule(self):
         assert newey_west_lag(100) == 4
         assert newey_west_lag(500) == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["design", "response"])
+    def test_non_finite_input_rejected(self, where, bad):
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.ones(30), rng.normal(size=30)])
+        y = rng.normal(size=30)
+        if where == "design":
+            X[7, 1] = bad
+        else:
+            y[7] = bad
+        with pytest.raises(ValueError):
+            ols(X, y)
+
+    def test_p_values_equal_student_t_sf(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(8)
+        t = np.concatenate([
+            [-np.inf, -1e6, -40.0, -2.58, -1.96, -1e-12, -0.0, 0.0,
+             1e-12, 0.5, 1.645, 3.2, 1e6, np.inf],
+            rng.standard_cauchy(200) * 5.0,
+        ])
+        for dof in (1, 2, 3, 7, 30, 997, 13_000, 10**6):
+            expected = np.where(np.isinf(t), 0.0,
+                                2.0 * stats.t.sf(np.abs(t), dof))
+            np.testing.assert_array_equal(_two_sided_p(t, dof), expected)
+        fit = ols(np.column_stack([np.ones(40), rng.normal(size=40)]),
+                  rng.normal(size=40))
+        np.testing.assert_array_equal(
+            fit.p_values, 2.0 * stats.t.sf(np.abs(fit.t_stats), fit.dof))
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats takes about half a second to import; nothing needs it.
+    code = ("import sys, herdscan, herdscan.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    src = Path(herdscan.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFitCsadBasic:

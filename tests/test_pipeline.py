@@ -1,13 +1,27 @@
 from __future__ import annotations
 
 import json
-from datetime import date
+import os
+import subprocess
+import sys
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from herdscan.errors import ConfigError, DataError, EmptyCommunity, VehicleTooSmall
-from herdscan.ingest import AssetMeta, Sector, SubPeriod, Vehicle
+import herdscan
+from herdscan import pipeline
+from herdscan.econometrics import fit_csad_basic, fit_csad_updown, verdict
+from herdscan.errors import (
+    ConfigError,
+    DataError,
+    EmptyCommunity,
+    EmptySlice,
+    OneSidedSample,
+    VehicleTooSmall,
+)
+from herdscan.ingest import AlignedPanel, AssetMeta, Sector, SubPeriod, Vehicle, slice_panel
 from herdscan.pipeline import (
     community_structure,
     compute_beta_reports,
@@ -20,6 +34,7 @@ from herdscan.pipeline import (
     sector_distribution,
     thread_cap,
 )
+from herdscan.returns import csad, log_returns
 from generators import (
     panel_from_returns,
     planted_two_block_panel,
@@ -108,6 +123,50 @@ class TestRunPerVehicle:
         panel = random_walk_panel(2, 4, 60)  # stocks only
         cells = run_per_vehicle(panel, [], max_workers=1)
         assert {v for v, _ in cells} == {Vehicle.STOCK}
+
+    def test_one_restrict_per_vehicle(self, monkeypatch):
+        metas = ([stock_meta(f"S{i}") for i in range(4)]
+                 + [etf(f"E{i}") for i in range(3)]
+                 + [AssetMeta("C0", Vehicle.CRYPTO, Sector.CRYPTO)])
+        panel = random_walk_panel(5, len(metas), 600, metas=metas)
+        first, last = (d.item() for d in panel.grid[[0, -1]].astype("datetime64[D]"))
+        mid = first + (last - first) / 2
+        subs = [SubPeriod("early", first, mid),
+                SubPeriod("late", mid + timedelta(days=1), last),
+                SubPeriod("empty", date(2030, 1, 1), date(2030, 1, 2))]
+        restrict = AlignedPanel.restrict
+        calls = []
+
+        def counting_restrict(self, tickers):
+            calls.append(tuple(tickers))
+            return restrict(self, tickers)
+
+        monkeypatch.setattr(AlignedPanel, "restrict", counting_restrict)
+        cells = run_per_vehicle(panel, subs, max_workers=2)
+        assert sorted(calls) == [("E0", "E1", "E2"), ("S0", "S1", "S2", "S3")]
+        assert len(cells) == 3 * (len(subs) + 1)
+
+        # Reference: restrict the panel for every (vehicle, sub-period) unit.
+        for (vehicle, sub_name), cell in cells.items():
+            tickers = [a.ticker for a in panel.assets if a.vehicle is vehicle]
+            sub = next((s for s in subs if s.name == sub_name),
+                       full_subperiod(panel))
+            assert cell.n_assets == len(tickers)
+            if vehicle is Vehicle.CRYPTO:
+                assert (cell.skipped_reason, cell.n_obs) == ("too_few_assets", 0)
+                continue
+            try:
+                cs = csad(log_returns(slice_panel(restrict(panel, tickers), sub)))
+            except EmptySlice:
+                assert sub_name == "empty"
+                assert (cell.skipped_reason, cell.n_obs) == ("empty_slice", 0)
+                continue
+            try:
+                fit5 = fit_csad_updown(cs)
+            except OneSidedSample:
+                fit5 = None
+            assert cell.skipped_reason is None and cell.n_obs == len(cs)
+            assert cell.verdict == verdict(fit_csad_basic(cs), fit5)
 
 
 class TestRunCombined:
@@ -222,6 +281,21 @@ class TestCombinedPass:
             ENTRY_POINTS[entry](panel, [event, calm], min_community_size=1,
                                 max_workers=1)
 
+    @pytest.mark.parametrize("entry", ["run_analysis", "run_combined",
+                                       "community_structure"])
+    def test_unknown_louvain_weights_rejected_before_any_work(self, entry,
+                                                              monkeypatch):
+        panel, event, calm = twelve_asset_run_inputs()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("analysis ran before the weighting was checked")
+
+        for name in ("slice_panel", "log_returns", "fit_csad_basic"):
+            monkeypatch.setattr(pipeline, name, no_work)
+        with pytest.raises(ConfigError, match="louvain_weights"):
+            ENTRY_POINTS[entry](panel, [event, calm], louvain_weights="bogus",
+                                max_workers=1)
+
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("names", [("a b", "a_b"), ("calm", "calm"), ("full",)],
                              ids=["same_file_name", "same_name", "full"])
@@ -305,6 +379,32 @@ class TestEmitReport:
             out.append(tmp_path / sub_dir)
         for f in sorted(out[0].iterdir()):
             assert f.read_bytes() == (out[1] / f.name).read_bytes()
+
+    def test_byte_determinism_across_blas_thread_counts(self, tmp_path):
+        # OpenBLAS splits a ddot of more than 10 000 elements across its
+        # threads, so the full period needs more bars than that; the fits
+        # and betas of that period must not depend on how it is split.
+        script = (
+            "import sys\n"
+            "from generators import vehicle_event_panel\n"
+            "from herdscan.pipeline import emit_report, run_analysis\n"
+            "panel, event, calm = vehicle_event_panel(\n"
+            "    11, n_per_vehicle=4, event_bars=9000, calm_bars=5000)\n"
+            "for hac in (False, True):\n"
+            "    run = run_analysis(panel, [event, calm], hac=hac)\n"
+            "    emit_report(run, f'{sys.argv[1]}/hac_{hac}')\n"
+        )
+        src = Path(herdscan.__file__).resolve().parents[1]
+        path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
+                           env=env, check=True, timeout=600)
+        one, two = tmp_path / "1", tmp_path / "2"
+        files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+        assert len(files) == 2 * 11  # run.json, verdicts.csv, 3 x 3 per period
+        for f in files:
+            assert (one / f).read_bytes() == (two / f).read_bytes(), f
 
     def test_include_timings(self, small_run, tmp_path):
         emit_report(small_run, tmp_path, include_timings=True)
