@@ -30,6 +30,9 @@ from .graph import SpanningTree
 
 Node = Hashable
 
+#: A move or a new level must raise Q by more than this to count.
+GAIN_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -202,8 +205,8 @@ class LouvainState:
         self.community_of[node] = community
 
 
-def delta_q(g: WeightedGraph, node: Node, target_community: int,
-            state: LouvainState, *, k_in: float | None = None) -> float:
+def delta_q(node: Node, target_community: int, state: LouvainState, *,
+            k_in: float | None = None) -> float:
     """Modularity gain from inserting an isolated node into a community.
 
     The node must currently be isolated in ``state``. The value equals the
@@ -225,13 +228,13 @@ def delta_q(g: WeightedGraph, node: Node, target_community: int,
 
 def local_move_phase(g: WeightedGraph,
                      initial: Mapping[Node, int] | Partition | None = None,
-                     *, order: Sequence[Node] | None = None,
-                     tol: float = 1e-12) -> Partition:
+                     *, order: Sequence[Node] | None = None) -> Partition:
     """Sweep nodes in fixed order, greedily re-homing each one.
 
-    Each node moves to the neighboring community with the largest positive
-    gain over staying put; the phase ends when a full sweep moves nothing.
-    The returned modularity is never below the initial one.
+    Each node moves to the neighboring community with the largest gain, if
+    it beats staying put by more than ``GAIN_TOL`` (1e-12); the phase ends
+    when a full sweep moves nothing. The returned modularity is never below
+    the initial one.
     """
     order = list(order) if order is not None else _default_order(g)
     if initial is None:
@@ -248,13 +251,13 @@ def local_move_phase(g: WeightedGraph,
             current = state.remove(node)
             weights = state.neighbor_weights(node)
             best_cid = current
-            best_gain = delta_q(g, node, current, state,
+            best_gain = delta_q(node, current, state,
                                 k_in=weights.get(current, 0.0))
             for cid in sorted(weights):
                 if cid == current:
                     continue
-                gain = delta_q(g, node, cid, state, k_in=weights[cid])
-                if gain > best_gain + tol:
+                gain = delta_q(node, cid, state, k_in=weights[cid])
+                if gain > best_gain + GAIN_TOL:
                     best_cid, best_gain = cid, gain
             state.insert(node, best_cid)
             if best_cid != current:
@@ -292,9 +295,10 @@ def aggregate(g: WeightedGraph, p: Partition) -> WeightedGraph:
 
 
 def louvain(g: WeightedGraph, *, order: Sequence[Node] | None = None,
-            tol: float = 1e-12,
             record: list | None = None) -> Partition:
     """Full Louvain: alternate local moves and aggregation to a fixed point.
+
+    It stops once a local-move phase gains no more than ``GAIN_TOL`` (1e-12).
 
     ``record``, when given, accumulates (stage, modularity, m) tuples for
     every phase, which makes the monotonicity of Q and the conservation of
@@ -309,10 +313,10 @@ def louvain(g: WeightedGraph, *, order: Sequence[Node] | None = None,
         record.append(("init", best_q, current.total_weight))
 
     while True:
-        part = local_move_phase(current, order=current_order, tol=tol)
+        part = local_move_phase(current, order=current_order)
         if record is not None:
             record.append(("local_move", part.modularity, current.total_weight))
-        if part.modularity - best_q <= tol:
+        if part.modularity - best_q <= GAIN_TOL:
             break
         best_q = part.modularity
         node_to_comm = {n: part.assignment[c] for n, c in node_to_comm.items()}

@@ -83,12 +83,11 @@ class SpanningTree:
             raise DataError("spanning tree must have n-1 edges")
 
 
-def pearson_matrix(rp: ReturnPanel, *,
-                   min_variance: float = MIN_RETURN_VARIANCE) -> CorrelationMatrix:
+def pearson_matrix(rp: ReturnPanel) -> CorrelationMatrix:
     """Pairwise Pearson correlations of asset returns over the panel window."""
     variances = rp.returns.var(axis=1)
     for ticker, var in zip(rp.tickers, variances):
-        if var < min_variance:
+        if var < MIN_RETURN_VARIANCE:
             raise ZeroVarianceAsset(ticker)
     corr = np.corrcoef(rp.returns)
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)

@@ -9,10 +9,10 @@ fits the regressions inside each community, using the community's own mean
 return as the market return. One per-sub-period chain serves
 ``run_combined``, ``run_analysis`` and ``community_structure``.
 
-Sub-periods are independent work units; ``HERDSCAN_THREADS`` caps the
-worker count. Report files are byte-deterministic for a given input and
-configuration, so wall-clock timings stay out of them unless explicitly
-requested.
+Sub-periods are independent work units. ``HERDSCAN_THREADS`` (default: the
+CPU count) caps the worker count, for the library and the CLI alike. Report
+files are byte-deterministic for a given input and configuration, so
+wall-clock timings stay out of them unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -136,6 +136,7 @@ class AnalysisRun:
 # --- parallel helpers --------------------------------------------------------
 
 def thread_cap() -> int:
+    """Worker count: ``HERDSCAN_THREADS`` (an integer >= 1), else the CPU count."""
     raw = os.environ.get("HERDSCAN_THREADS")
     if raw is not None:
         try:
@@ -148,10 +149,8 @@ def thread_cap() -> int:
     return os.cpu_count() or 1
 
 
-def _map_units(fn: Callable, units: Sequence, max_workers: int | None = None) -> list:
-    if not units:
-        return []
-    workers = min(max_workers if max_workers else thread_cap(), len(units))
+def _map_units(fn: Callable, units: Sequence) -> list:
+    workers = min(thread_cap(), len(units))
     if workers <= 1:
         return [fn(u) for u in units]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -230,7 +229,6 @@ def _herding(cs: CsadSeries, *, min_obs: int, min_regime: int,
 def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                     vehicles: Sequence[Vehicle] | None = None,
                     min_obs: int = 10, min_regime: int = 5, hac: bool = False,
-                    max_workers: int | None = None,
                     ) -> dict[tuple[Vehicle, str], VehicleCell]:
     """Herding verdicts per (vehicle, sub-period), plus the full period.
 
@@ -270,7 +268,7 @@ def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
         return VehicleCell(vehicle, sub.name, v, reason, n_assets, len(cs))
 
     units = [(v, sub) for v in wanted for sub in all_subs]
-    cells = _map_units(one, units, max_workers)
+    cells = _map_units(one, units)
     return {(c.vehicle, c.sub_period): c for c in cells}
 
 
@@ -337,17 +335,16 @@ def _check_weighting(louvain_weights: str) -> None:
 
 
 def _combined(panel: AlignedPanel, subs: Sequence[SubPeriod], louvain_weights: str,
-              max_workers: int | None, regress: Callable | None = None) -> list[tuple]:
+              regress: Callable | None = None) -> list[tuple]:
     """``_sub_structure`` of every sub-period and the full period."""
     one = partial(_sub_structure, panel, louvain_weights, regress)
-    return _map_units(one, _with_full_period(panel, subs), max_workers)
+    return _map_units(one, _with_full_period(panel, subs))
 
 
 def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  min_community_size: int = DEFAULT_MIN_COMMUNITY_SIZE,
                  louvain_weights: str = "unit",
                  min_obs: int = 10, min_regime: int = 5, hac: bool = False,
-                 max_workers: int | None = None,
                  ) -> dict[str, tuple[CommunityReport, ...]]:
     """Community detection plus per-community herding for every sub-period."""
     _check_weighting(louvain_weights)
@@ -355,17 +352,16 @@ def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
     if len(panel.assets) < 3:
         raise DataError("combined analysis needs at least 3 assets")
     return {name: reports for name, _, _, reports
-            in _combined(panel, subs, louvain_weights, max_workers, regress)}
+            in _combined(panel, subs, louvain_weights, regress)}
 
 
 def community_structure(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                         louvain_weights: str = "unit",
-                        max_workers: int | None = None,
                         ) -> dict[str, tuple[SpanningTree | None, Partition | None]]:
     """Spanning tree and partition only (no regressions) per sub-period."""
     _check_weighting(louvain_weights)
     return {name: (tree, partition) for name, tree, partition, _
-            in _combined(panel, subs, louvain_weights, max_workers)}
+            in _combined(panel, subs, louvain_weights)}
 
 
 # --- betas ------------------------------------------------------------------------
@@ -403,7 +399,6 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  louvain_weights: str = "unit",
                  beta_proxy: str | None = None,
                  min_obs: int = 10, min_regime: int = 5, hac: bool = False,
-                 max_workers: int | None = None,
                  config_extra: Mapping | None = None) -> AnalysisRun:
     """Run both analysis passes plus beta reports and collect timings."""
     _check_weighting(louvain_weights)
@@ -431,13 +426,12 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
 
     timings: dict[str, float] = {}
     t0 = time_mod.perf_counter()
-    per_vehicle = run_per_vehicle(panel, subs, vehicles=vehicles,
-                                  min_obs=min_obs, min_regime=min_regime,
-                                  hac=hac, max_workers=max_workers)
+    per_vehicle = run_per_vehicle(panel, subs, vehicles=vehicles, min_obs=min_obs,
+                                  min_regime=min_regime, hac=hac)
     timings["per_vehicle"] = time_mod.perf_counter() - t0
 
     t1 = time_mod.perf_counter()
-    results = _combined(panel, subs, louvain_weights, max_workers, regress)
+    results = _combined(panel, subs, louvain_weights, regress)
     combined = {name: reports for name, _, _, reports in results}
     trees = {name: tree for name, tree, _, _ in results}
     timings["combined"] = time_mod.perf_counter() - t1

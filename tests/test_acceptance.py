@@ -169,8 +169,7 @@ def test_criterion_7_planted_partition_recovery():
     verdicts_ok = 0
     for seed in range(100):
         panel, truth = planted_two_block_panel(seed)
-        reports = run_combined(panel, [], louvain_weights="similarity",
-                               max_workers=1)["full"]
+        reports = run_combined(panel, [], louvain_weights="similarity")["full"]
         membership = {t: r.community_id for r in reports for t in r.members}
         found = np.array([membership[t] for t in truth["A"] + truth["B"]])
         planted = np.array([0] * 10 + [1] * 10)

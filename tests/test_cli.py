@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from herdscan import cli
 from herdscan.cli import main
 
 from generators import vehicle_event_panel
@@ -138,6 +139,21 @@ def test_unknown_time_zone_is_config_error(data_dir, tmp_path, command, capsys):
             "--tz", "Not/AZone", "--out", str(tmp_path / "out")]
     assert main(args) == 2
     assert "unknown time zone 'Not/AZone'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "communities", "csad"])
+def test_bad_thread_env_fails_before_loading(data_dir, tmp_path, command,
+                                              monkeypatch, capsys):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the panel was loaded before HERDSCAN_THREADS was checked")
+
+    monkeypatch.setattr(cli, "load_panel", no_load)
+    monkeypatch.setenv("HERDSCAN_THREADS", "zero")
+    args = [command, "--data-dir", str(data_dir["bars"]),
+            "--sectors", str(data_dir["sectors"]), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "HERDSCAN_THREADS='zero' is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["communities", "csad"])

@@ -85,7 +85,7 @@ class TestRunPerVehicle:
     def test_cell_cardinality(self):
         panel, event, calm = vehicle_event_panel(0)
         subs = [SubPeriod(f"p{i}", event.start, calm.end) for i in range(5)]
-        cells = run_per_vehicle(panel, subs, max_workers=1)
+        cells = run_per_vehicle(panel, subs)
         assert len(cells) == 3 * 6  # 3 vehicles x (5 subs + full)
         for vehicle in (Vehicle.CRYPTO, Vehicle.STOCK, Vehicle.US_ETF):
             for sub in [s.name for s in subs] + ["full"]:
@@ -95,7 +95,7 @@ class TestRunPerVehicle:
         hits = 0
         for seed in range(10):
             panel, event, calm = vehicle_event_panel(seed)
-            cells = run_per_vehicle(panel, [event, calm], max_workers=1)
+            cells = run_per_vehicle(panel, [event, calm])
             crypto_event = cells[(Vehicle.CRYPTO, "event")].verdict
             stock_event = cells[(Vehicle.STOCK, "event")].verdict
             etf_event = cells[(Vehicle.US_ETF, "event")].verdict
@@ -109,7 +109,7 @@ class TestRunPerVehicle:
         # zero cross-sectional dispersion and constant market return
         returns = np.zeros((3, 50))
         panel = panel_from_returns(returns, [stock_meta(t) for t in "ABC"])
-        cells = run_per_vehicle(panel, [], max_workers=1)
+        cells = run_per_vehicle(panel, [])
         cell = cells[(Vehicle.STOCK, "full")]
         assert cell.verdict is None
         assert cell.skipped_reason == "degenerate_regressor"
@@ -121,7 +121,7 @@ class TestRunPerVehicle:
 
     def test_all_vehicles_means_vehicles_present(self):
         panel = random_walk_panel(2, 4, 60)  # stocks only
-        cells = run_per_vehicle(panel, [], max_workers=1)
+        cells = run_per_vehicle(panel, [])
         assert {v for v, _ in cells} == {Vehicle.STOCK}
 
     def test_one_restrict_per_vehicle(self, monkeypatch):
@@ -142,7 +142,8 @@ class TestRunPerVehicle:
             return restrict(self, tickers)
 
         monkeypatch.setattr(AlignedPanel, "restrict", counting_restrict)
-        cells = run_per_vehicle(panel, subs, max_workers=2)
+        monkeypatch.setenv("HERDSCAN_THREADS", "2")
+        cells = run_per_vehicle(panel, subs)
         assert sorted(calls) == [("E0", "E1", "E2"), ("S0", "S1", "S2", "S3")]
         assert len(cells) == 3 * (len(subs) + 1)
 
@@ -176,8 +177,7 @@ class TestRunCombined:
             panel, truth = planted_two_block_panel(seed)
             # similarity weighting keeps the cross-block bridge weak; on the
             # unit-weight tree the bridge pair itself is the modularity optimum
-            reports = run_combined(panel, [], louvain_weights="similarity",
-                                   max_workers=1)["full"]
+            reports = run_combined(panel, [], louvain_weights="similarity")["full"]
             membership = {t: r.community_id for r in reports
                           for t in r.members}
             found = np.array([membership[t]
@@ -193,8 +193,7 @@ class TestRunCombined:
 
     def test_sector_mix_reflects_blocks(self):
         panel, truth = planted_two_block_panel(3)
-        reports = run_combined(panel, [], louvain_weights="similarity",
-                               max_workers=1)["full"]
+        reports = run_combined(panel, [], louvain_weights="similarity")["full"]
         for r in reports:
             mix = r.sector_distribution
             if r.members[0].startswith("A"):
@@ -204,8 +203,7 @@ class TestRunCombined:
 
     def test_below_min_size_skipped(self):
         panel, _ = planted_two_block_panel(0, n_per_block=3)
-        reports = run_combined(panel, [], min_community_size=4,
-                               max_workers=1)["full"]
+        reports = run_combined(panel, [], min_community_size=4)["full"]
         assert reports  # communities exist
         assert all(r.skipped_reason == "below_min_size" for r in reports
                    if len(r.members) < 4)
@@ -214,8 +212,7 @@ class TestRunCombined:
     def test_partition_property(self):
         panel, _ = planted_two_block_panel(1)
         combined = run_combined(
-            panel, [SubPeriod("half", date(2019, 4, 1), date(2019, 7, 1))],
-            max_workers=1)
+            panel, [SubPeriod("half", date(2019, 4, 1), date(2019, 7, 1))])
         for sub, reports in combined.items():
             seen = [t for r in reports for t in r.members]
             assert sorted(seen) == sorted(panel.tickers)
@@ -234,9 +231,9 @@ class TestRunCombined:
                         for _ in range(5)]
         metas = [stock_meta(f"S{i}") for i in range(6)]
         panel = panel_from_returns(np.vstack(rows), metas)
-        combined = run_combined(panel, [], max_workers=1)["full"]
+        combined = run_combined(panel, [])["full"]
         assert len(combined) == 1
-        per_vehicle = run_per_vehicle(panel, [], max_workers=1)
+        per_vehicle = run_per_vehicle(panel, [])
         cell = per_vehicle[(Vehicle.STOCK, "full")]
         community_verdict = combined[0].verdict
         assert community_verdict == cell.verdict
@@ -257,13 +254,14 @@ ENTRY_POINTS = {f.__name__: f for f in (run_analysis, run_per_vehicle,
 
 class TestCombinedPass:
     @pytest.mark.parametrize("weights", ["unit", "similarity"])
-    def test_community_structure_matches_run_analysis(self, weights):
+    def test_community_structure_matches_run_analysis(self, weights, monkeypatch):
         panel, event, calm = twelve_asset_run_inputs()
         empty = SubPeriod("empty", date(2030, 1, 1), date(2030, 1, 2))
         subs = [event, empty, calm]
-        run = run_analysis(panel, subs, louvain_weights=weights, max_workers=1)
-        structures = community_structure(panel, subs, louvain_weights=weights,
-                                         max_workers=2)
+        monkeypatch.setenv("HERDSCAN_THREADS", "1")
+        run = run_analysis(panel, subs, louvain_weights=weights)
+        monkeypatch.setenv("HERDSCAN_THREADS", "2")
+        structures = community_structure(panel, subs, louvain_weights=weights)
         assert tuple(structures) == run.sub_names == ("event", "empty", "calm",
                                                       "full")
         assert structures["empty"] == (None, None)
@@ -274,12 +272,31 @@ class TestCombinedPass:
                         for t in r.members}
             assert (dict(partition.assignment) if partition else {}) == reported
 
+    @pytest.mark.parametrize("weights", ["unit", "similarity"])
+    @pytest.mark.parametrize("make_panel", [
+        lambda seed: vehicle_event_panel(seed)[0],
+        lambda seed: planted_two_block_panel(seed)[0],
+        lambda seed: random_walk_panel(seed, 80, 600),
+    ], ids=["vehicle_event", "planted_two_block", "random_walk_80"])
+    def test_every_community_connected_in_its_tree(self, make_panel, weights):
+        # Louvain can return a disconnected community (Traag, Waltman & van
+        # Eck 2019); inside a tree, a connected community of k members holds
+        # exactly k - 1 of its edges.
+        for seed in range(6):
+            panel = make_panel(seed)
+            first, last = (d.item() for d in panel.grid[[0, -1]].astype("datetime64[D]"))
+            subs = [SubPeriod("early", first, first + (last - first) / 2)]
+            structures = community_structure(panel, subs, louvain_weights=weights)
+            for name, (tree, partition) in structures.items():
+                for members in map(set, partition.communities):
+                    inside = sum(e.a in members and e.b in members for e in tree.edges)
+                    assert inside == len(members) - 1, (seed, name, sorted(members))
+
     @pytest.mark.parametrize("entry", ["run_analysis", "run_combined"])
     def test_min_community_size_below_two_rejected(self, entry):
         panel, event, calm = twelve_asset_run_inputs()
         with pytest.raises(ConfigError, match="min_community_size"):
-            ENTRY_POINTS[entry](panel, [event, calm], min_community_size=1,
-                                max_workers=1)
+            ENTRY_POINTS[entry](panel, [event, calm], min_community_size=1)
 
     @pytest.mark.parametrize("entry", ["run_analysis", "run_combined",
                                        "community_structure"])
@@ -293,8 +310,7 @@ class TestCombinedPass:
         for name in ("slice_panel", "log_returns", "fit_csad_basic"):
             monkeypatch.setattr(pipeline, name, no_work)
         with pytest.raises(ConfigError, match="louvain_weights"):
-            ENTRY_POINTS[entry](panel, [event, calm], louvain_weights="bogus",
-                                max_workers=1)
+            ENTRY_POINTS[entry](panel, [event, calm], louvain_weights="bogus")
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("names", [("a b", "a_b"), ("calm", "calm"), ("full",)],
@@ -305,7 +321,7 @@ class TestCombinedPass:
         subs = [SubPeriod(name, event.start, event.end) for name in names]
         expected = "'a b' and 'a_b'" if names == ("a b", "a_b") else names[-1]
         with pytest.raises(ConfigError, match=expected):
-            ENTRY_POINTS[entry](panel, subs, max_workers=1)
+            ENTRY_POINTS[entry](panel, subs)
 
 
 class TestBetaReports:
@@ -343,7 +359,7 @@ class TestEmitReport:
         panel, event, calm = vehicle_event_panel(4, n_per_vehicle=4,
                                                  event_bars=650,
                                                  calm_bars=350)
-        return run_analysis(panel, [event, calm], max_workers=1)
+        return run_analysis(panel, [event, calm])
 
     def test_file_set_and_schema(self, small_run, tmp_path):
         files = emit_report(small_run, tmp_path)
@@ -374,7 +390,7 @@ class TestEmitReport:
                                                  calm_bars=350)
         out = []
         for sub_dir in ("a", "b"):
-            run = run_analysis(panel, [event, calm], max_workers=1)
+            run = run_analysis(panel, [event, calm])
             emit_report(run, tmp_path / sub_dir)
             out.append(tmp_path / sub_dir)
         for f in sorted(out[0].iterdir()):
@@ -415,7 +431,7 @@ class TestEmitReport:
     def test_empty_subperiod_list_yields_full_only(self, tmp_path):
         panel, _, _ = vehicle_event_panel(5, n_per_vehicle=4,
                                           event_bars=650, calm_bars=350)
-        run = run_analysis(panel, [], max_workers=1)
+        run = run_analysis(panel, [])
         emit_report(run, tmp_path)
         doc = json.loads((tmp_path / "run.json").read_text())
         assert list(doc["combined"]) == ["full"]
@@ -423,7 +439,7 @@ class TestEmitReport:
 
     def test_skipped_community_row(self, tmp_path):
         panel, _ = planted_two_block_panel(0, n_per_block=3)
-        run = run_analysis(panel, [], max_workers=1)
+        run = run_analysis(panel, [])
         emit_report(run, tmp_path)
         lines = (tmp_path / "communities_full.csv").read_text().splitlines()
         header = lines[0].split(",")
@@ -476,18 +492,42 @@ class TestThreadCap:
         monkeypatch.setenv("HERDSCAN_THREADS", "3")
         assert thread_cap() == 3
 
-    def test_invalid_env(self, monkeypatch):
-        monkeypatch.setenv("HERDSCAN_THREADS", "zero")
-        with pytest.raises(ConfigError):
+    def test_default_is_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
+        assert thread_cap() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("raw", ["zero", "", "0", "-1"])
+    def test_invalid_env(self, monkeypatch, raw):
+        monkeypatch.setenv("HERDSCAN_THREADS", raw)
+        with pytest.raises(ConfigError, match="HERDSCAN_THREADS"):
             thread_cap()
 
-    def test_parallel_matches_serial(self, monkeypatch):
+    def test_parallel_matches_serial(self, monkeypatch, tmp_path):
         panel, event, calm = vehicle_event_panel(6, n_per_vehicle=4,
                                                  event_bars=650,
                                                  calm_bars=350)
-        serial = run_per_vehicle(panel, [event, calm], max_workers=1)
-        parallel = run_per_vehicle(panel, [event, calm], max_workers=4)
-        assert serial == parallel
+        pools = []
+        pool_class = pipeline.ThreadPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(pool_class(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool)
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HERDSCAN_THREADS", threads)
+            runs[threads] = run_analysis(panel, [event, calm])
+            emit_report(runs[threads], tmp_path / threads)
+            # one pool each for the per-vehicle and the combined pass
+            assert len(pools) == (0 if threads == "1" else 2)
+        assert runs["1"].per_vehicle == runs["2"].per_vehicle
+        one, two = tmp_path / "1", tmp_path / "2"
+        files = sorted(p.name for p in one.iterdir())
+        assert files == sorted(p.name for p in two.iterdir())
+        assert len(files) == 2 + 3 * 3  # run.json, verdicts.csv, 3 per period
+        for name in files:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 class TestFullSubperiod:
