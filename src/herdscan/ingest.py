@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -517,23 +518,31 @@ def _fixed_width_seconds(win: np.ndarray) -> np.ndarray | None:
 def _utc_to_local(secs: np.ndarray, zone: ZoneInfo) -> np.ndarray | None:
     """Wall-clock seconds in ``zone`` for UTC epoch seconds.
 
-    Looks the offset up once per UTC day; rows on a day whose offset changes
-    are converted one by one. Returns None outside the years where every
-    conversion stays inside ``datetime``'s range.
+    Looks the offset up once per UTC day, and remembers it across files;
+    rows on a day whose offset changes are converted one by one. Returns
+    None outside the years where every conversion stays inside
+    ``datetime``'s range.
     """
     if secs.min() < _FIRST_SAFE_SECOND or secs.max() > _LAST_SAFE_SECOND:
         return None
-
-    def offset(t: int) -> int:
-        return int(datetime.fromtimestamp(t, zone).utcoffset().total_seconds())
-
     days, day_of = np.unique(secs // 86400, return_inverse=True)
-    start = np.array([offset(int(d) * 86400) for d in days], dtype=np.int64)
-    end = np.array([offset(int(d) * 86400 + 86399) for d in days], dtype=np.int64)
+    start, end = np.array([_day_offsets(zone, int(d)) for d in days],
+                          dtype=np.int64).T
     local = secs + start[day_of]
     for row in np.flatnonzero((start != end)[day_of]):
-        local[row] = secs[row] + offset(int(secs[row]))
+        local[row] = secs[row] + _utc_offset(zone, int(secs[row]))
     return local
+
+
+def _utc_offset(zone: ZoneInfo, t: int) -> int:
+    """Seconds ``zone`` is ahead of UTC at epoch second ``t``."""
+    return int(datetime.fromtimestamp(t, zone).utcoffset().total_seconds())
+
+
+@lru_cache(maxsize=1 << 15)
+def _day_offsets(zone: ZoneInfo, day: int) -> tuple[int, int]:
+    """``zone``'s UTC offset at the first and the last second of UTC day ``day``."""
+    return _utc_offset(zone, day * 86400), _utc_offset(zone, day * 86400 + 86399)
 
 
 def _gather_floats(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray
@@ -655,19 +664,28 @@ def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta],
 
 
 def slice_panel(panel: AlignedPanel, sub: SubPeriod) -> AlignedPanel:
-    """Restrict a panel to [sub.start, sub.end] by calendar date."""
-    days = panel.grid.astype("datetime64[D]")
-    mask = (days >= np.datetime64(sub.start)) & (days <= np.datetime64(sub.end))
-    kept = int(mask.sum())
+    """Restrict a panel to [sub.start, sub.end] by calendar date.
+
+    The kept columns are one range of the sorted grid, found by bisection.
+    Prices (and fills, if any kept cell is filled) are copied in Fortran
+    order, the layout a boolean column mask gives: ``returns.csad`` averages
+    over assets along axis 0, and the order in which that mean adds up, so
+    the last bits of every report, depends on the layout.
+    """
+    first = np.datetime64(sub.start, "s")
+    after = np.datetime64(sub.end, "s") + np.timedelta64(1, "D")
+    lo, hi = panel.grid.searchsorted([first, after])
+    kept = int(hi - lo)
     if kept == 0:
         raise EmptySlice(f"{sub.name}: no panel timestamps in range")
     if kept < 3:
         raise EmptySlice(f"{sub.name}: only {kept} timestamps in range")
+    fills = panel.fills[:, lo:hi]
     return AlignedPanel(
         assets=panel.assets,
-        grid=panel.grid[mask],
-        prices=panel.prices[:, mask],
-        fills=panel.fills[:, mask] if panel.fills.any() else None,
+        grid=panel.grid[lo:hi],
+        prices=np.array(panel.prices[:, lo:hi], order="F"),
+        fills=np.array(fills, order="F") if fills.any() else None,
     )
 
 

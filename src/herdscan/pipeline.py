@@ -559,13 +559,34 @@ def _mst_csv(tree: SpanningTree | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Names of the files ``emit_report`` writes, as ``Path.glob`` patterns.
+_REPORT_PATTERNS = ("run.json", "verdicts.csv", "communities_*.csv",
+                    "plotdata_*.csv", "mst_*.csv")
+
+
+def _remove_stale_reports(out_dir: Path, written: Sequence[Path]) -> None:
+    """Delete the report-named files in ``out_dir`` that are not in ``written``."""
+    keep = set(written)
+    for pattern in _REPORT_PATTERNS:
+        for path in out_dir.glob(pattern):
+            if path not in keep and path.is_file():
+                try:
+                    path.unlink()
+                except OSError as exc:
+                    raise IoFailure(path, exc) from None
+
+
 def emit_report(run: AnalysisRun, out_dir: Path | str, *,
                 include_timings: bool = False) -> list[Path]:
     """Write run.json plus the per-sub-period CSV set.
 
     Outputs are byte-deterministic for identical input and config; the
     run.json ``timings`` key stays null unless ``include_timings`` is set,
-    which trades reproducibility for profiling data.
+    which trades reproducibility for profiling data. Afterwards the files
+    in ``out_dir`` named like report files (``run.json``, ``verdicts.csv``,
+    ``communities_*.csv``, ``plotdata_*.csv``, ``mst_*.csv``) that this run
+    did not write, such as those of an earlier run with other sub-periods,
+    are deleted; every other file is left alone.
     """
     out_dir = Path(out_dir)
     _make_dir(out_dir)
@@ -627,4 +648,5 @@ def emit_report(run: AnalysisRun, out_dir: Path | str, *,
         _write(path, _mst_csv(run.trees.get(sub)))
         written.append(path)
 
+    _remove_stale_reports(out_dir, written)
     return written

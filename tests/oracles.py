@@ -7,14 +7,24 @@ relabelling, exhaustive set-partition modularity search, the literal
 lagged-sum form of the Newey-West covariance, and the per-cell fill log
 that aligned panels carried before their fill array, with the filters
 ``restrict`` and ``slice_panel`` applied to it record by record.
+
+Two references are the package's own earlier forms, kept for bit-for-bit
+comparison: least squares through scipy's ``qr`` and ``solve_triangular``
+wrappers (``wrapper_ols``), and the sub-period slice by a boolean date mask
+(``mask_slice_panel``).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from scipy import linalg as sla
+from scipy.special import stdtr
+
+from herdscan.errors import EmptySlice, RankDeficient, TooFewObservations
 
 
 def normal_equations_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -189,3 +199,69 @@ def slice_fill_log(records: list[tuple], grid: np.ndarray) -> list[tuple]:
     in_range = set(grid.tolist())
     return [r for r in records
             if r[1].astype("datetime64[s]").item() in in_range]
+
+
+def wrapper_ols(X: np.ndarray, y: np.ndarray, *, hac: bool = False
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """(coefficients, std errors, t, p, residual variance) of least squares
+    through ``scipy.linalg.qr(pivoting=True)`` and ``solve_triangular``,
+    with the same rank check and error types as ``econometrics.ols``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("design and response must be finite")
+    n, k = X.shape
+    if n <= k:
+        raise TooFewObservations(f"need n > k, got n={n}, k={k}")
+
+    q_mat, r_mat, piv = sla.qr(X, mode="economic", pivoting=True,
+                               check_finite=False)
+    diag = np.abs(np.diag(r_mat))
+    tol = (diag[0] if diag[0] > 0 else 1.0) * max(n, k) * np.finfo(np.float64).eps
+    bad = np.nonzero(diag <= tol)[0]
+    if diag[0] == 0 or bad.size:
+        raise RankDeficient(int(piv[bad[0]] if bad.size else piv[0]))
+
+    coef_pivoted = sla.solve_triangular(r_mat, q_mat.T @ y, check_finite=False)
+    coef = np.empty(k)
+    coef[piv] = coef_pivoted
+
+    residuals = y - X @ coef
+    dof = n - k
+    s2 = float(np.einsum("i,i->", residuals, residuals)) / dof
+
+    r_inv = sla.solve_triangular(r_mat, np.eye(k), check_finite=False)
+    xtx_inv_pivoted = r_inv @ r_inv.T
+    xtx_inv = np.empty_like(xtx_inv_pivoted)
+    xtx_inv[np.ix_(piv, piv)] = xtx_inv_pivoted
+
+    if hac:
+        scores = residuals[:, None] * X
+        meat = scores.T @ scores
+        lag = int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
+        for j in range(1, lag + 1):
+            gamma = scores[j:].T @ scores[:-j]
+            meat += (1.0 - j / (lag + 1.0)) * (gamma + gamma.T)
+        cov = xtx_inv @ meat @ xtx_inv
+    else:
+        cov = s2 * xtx_inv
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(se > 0, coef / se,
+                     np.where(coef == 0, 0.0, np.sign(coef) * np.inf))
+    p = np.where(np.isinf(t), 0.0, 2.0 * stdtr(dof, -np.abs(t)))
+    return coef, se, t, p, s2
+
+
+def mask_slice_panel(panel, sub) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, prices, fills) of the panel's columns whose calendar day lies
+    in [sub.start, sub.end]; EmptySlice for fewer than 3 of them."""
+    days = panel.grid.astype("datetime64[D]")
+    mask = (days >= np.datetime64(sub.start)) & (days <= np.datetime64(sub.end))
+    kept = int(mask.sum())
+    if kept == 0:
+        raise EmptySlice(f"{sub.name}: no panel timestamps in range")
+    if kept < 3:
+        raise EmptySlice(f"{sub.name}: only {kept} timestamps in range")
+    return panel.grid[mask], panel.prices[:, mask], panel.fills[:, mask]

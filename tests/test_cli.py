@@ -132,6 +132,39 @@ class TestAnalyze:
             assert f.read_bytes() == (outs[1] / f.name).read_bytes()
 
 
+    def test_rerun_into_same_out_removes_stale_reports(self, data_dir, tmp_path):
+        def analyze(subs_text: str, out):
+            subs = tmp_path / "subs.csv"
+            subs.write_text(subs_text)
+            assert main(["analyze", "--data-dir", str(data_dir["bars"]),
+                         "--sectors", str(data_dir["sectors"]),
+                         "--subperiods", str(subs), "--out", str(out)]) == 0
+
+        first = data_dir["subs"].read_text()
+        event_only = first.splitlines()[0].replace("event,", "spike,") + "\n"
+        out = tmp_path / "out"
+        analyze(first, out)
+        foreign = {"notes.txt": "mine", "run.json.bak": "old", "mst_calm.txt": "x",
+                   "partition_calm.csv": "y"}
+        for name, text in foreign.items():
+            (out / name).write_text(text)
+        (out / "mst_dir.csv").mkdir()
+        analyze(event_only, out)
+        fresh = tmp_path / "fresh"
+        analyze(event_only, fresh)
+
+        reports = sorted(p.name for p in fresh.iterdir())
+        assert reports == ["communities_full.csv", "communities_spike.csv",
+                           "mst_full.csv", "mst_spike.csv", "plotdata_full.csv",
+                           "plotdata_spike.csv", "run.json", "verdicts.csv"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*reports, *foreign, "mst_dir.csv"])
+        for name in reports:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        for name, text in foreign.items():
+            assert (out / name).read_text() == text
+
+
 @pytest.mark.parametrize("command", ["analyze", "communities", "csad"])
 def test_unknown_time_zone_is_config_error(data_dir, tmp_path, command, capsys):
     args = [command, "--data-dir", str(data_dir["bars"]),

@@ -42,6 +42,7 @@ from oracles import (
     classical_se,
     newey_west_cov_bruteforce,
     normal_equations_ols,
+    wrapper_ols,
 )
 
 
@@ -168,6 +169,79 @@ class TestOls:
             fit.p_values, 2.0 * stats.t.sf(np.abs(fit.t_stats), fit.dof))
 
 
+def _assert_same_as_wrapper_ols(X: np.ndarray, y: np.ndarray, hac: bool) -> None:
+    """``ols`` gives the bits of ``wrapper_ols``, or raises what it raises."""
+    try:
+        want = wrapper_ols(X, y, hac=hac)
+    except (RankDeficient, TooFewObservations, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            ols(X, y, hac=hac)
+        assert type(got.value) is type(exc)
+        assert getattr(got.value, "column", None) == getattr(exc, "column", None)
+        return
+    fit = ols(X, y, hac=hac)
+    for name, got_arr, want_arr in zip(
+            ("coefficients", "std_errors", "t_stats", "p_values"),
+            (fit.coefficients, fit.std_errors, fit.t_stats, fit.p_values), want):
+        assert np.array_equal(got_arr, want_arr), name
+    assert fit.residual_variance == want[4]
+
+
+class TestOlsMatchesScipyWrappers:
+    """``ols`` calls LAPACK directly; its results must equal, bit for bit,
+    those of the scipy ``qr`` / ``solve_triangular`` wrappers it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([3, 5]), n_extra=st.integers(1, 3000),
+           hac=st.booleans(), log_scale=st.floats(-4.0, -1.0),
+           csad_shaped=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_full_rank(self, k, n_extra, hac, log_scale, csad_shaped, seed):
+        rng = np.random.default_rng(seed)
+        n = k + n_extra
+        scale = 10.0 ** log_scale
+        if csad_shaped:
+            rm = rng.normal(0.0, scale, n)
+            cs = csad_series(rm, np.abs(0.01 + 0.5 * np.abs(rm)
+                                        + scale * rng.standard_normal(n)))
+            X = basic_design(cs) if k == 3 else updown_design(cs)
+            y = cs.csad
+        else:
+            X = np.column_stack([np.ones(n), scale * rng.standard_normal((n, k - 1))])
+            y = X @ rng.normal(size=k) + scale * rng.standard_normal(n)
+        _assert_same_as_wrapper_ols(X, y, hac)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.sampled_from([3, 5]), n_extra=st.integers(1, 400),
+           hac=st.booleans(), defect=st.sampled_from(["zero", "duplicate"]),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_rank_deficient(self, k, n_extra, hac, defect, data, seed):
+        rng = np.random.default_rng(seed)
+        n = k + n_extra
+        X = np.column_stack([np.ones(n), 1e-2 * rng.standard_normal((n, k - 1))])
+        col = data.draw(st.integers(1, k - 1), label="column")
+        if defect == "zero":
+            X[:, col] = 0.0
+        else:
+            X[:, col] = X[:, data.draw(st.sampled_from(
+                [c for c in range(k) if c != col]), label="copied")]
+        _assert_same_as_wrapper_ols(X, rng.standard_normal(n), hac)
+
+    def test_strided_and_fortran_designs(self):
+        rng = np.random.default_rng(17)
+        wide = np.column_stack([np.ones(300), rng.normal(size=(300, 4))])
+        y = rng.normal(size=300)
+        for X in (wide[:, :3], wide[::2, [0, 2, 4]], np.asfortranarray(wide)):
+            _assert_same_as_wrapper_ols(X, y[:X.shape[0]], hac=True)
+
+    @pytest.mark.parametrize("hac", [False, True])
+    def test_exact_fits(self, hac):
+        # zero residuals give zero standard errors and t of 0 or +-inf
+        x = np.arange(1.0, 41.0)
+        X = np.column_stack([np.ones(40), x, x ** 2])
+        for y in (np.zeros(40), np.full(40, 5.0), 3.0 + 2.0 * x, -(x ** 2)):
+            _assert_same_as_wrapper_ols(X, y, hac)
+
+
 def test_import_leaves_scipy_stats_out():
     # scipy.stats takes about half a second to import; nothing needs it.
     code = ("import sys, herdscan, herdscan.cli\n"
@@ -177,6 +251,25 @@ def test_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_designs_equal_column_stack_in_c_order():
+    # The fits' last bits depend on the design layout, so both designs must
+    # be C-ordered, with the values of the column_stack form they replaced.
+    rng = np.random.default_rng(9)
+    rm = rng.normal(0.0, 0.01, 200)
+    rm[::7] = 0.0  # neither up nor down
+    cs = csad_series(rm, np.abs(rng.normal(size=200)))
+    up, down = rm > 0, rm < 0
+    expected = {
+        "basic": np.column_stack([np.ones(200), np.abs(rm), rm ** 2]),
+        "updown": np.column_stack([np.ones(200), up * np.abs(rm), up * rm ** 2,
+                                   down * np.abs(rm), down * rm ** 2]),
+    }
+    for name, X in (("basic", basic_design(cs)), ("updown", updown_design(cs))):
+        assert X.flags.c_contiguous, name
+        assert np.array_equal(X, expected[name]), name
+        assert not np.signbit(X).any(), name
 
 
 class TestFitCsadBasic:

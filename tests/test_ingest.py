@@ -454,6 +454,82 @@ class TestSlice:
         assert np.array_equal(nested.prices, direct.prices)
 
 
+def check_slice_against_mask(panel: AlignedPanel, sub: SubPeriod) -> AlignedPanel | None:
+    """``slice_panel`` equals the boolean-mask slice, layout and errors included."""
+    try:
+        grid, prices, fills = oracles.mask_slice_panel(panel, sub)
+    except EmptySlice as exc:
+        with pytest.raises(EmptySlice) as got:
+            slice_panel(panel, sub)
+        assert str(got.value) == str(exc)
+        return None
+    sliced = slice_panel(panel, sub)
+    assert np.array_equal(sliced.grid, grid)
+    assert np.array_equal(sliced.prices, prices)
+    assert np.array_equal(sliced.fills, fills)
+    assert sliced.prices.flags.f_contiguous and prices.flags.f_contiguous
+    assert not np.shares_memory(sliced.prices, panel.prices)
+    return sliced
+
+
+class TestSliceMatchesMask:
+    @staticmethod
+    def random_panel(rng) -> AlignedPanel:
+        """2-4 assets on an irregular grid over about 12 days, from a start
+        before or after 1970, with days of one or two stamps and random fills."""
+        start = np.datetime64(str(rng.choice(["1969-12-24", "2019-03-29",
+                                               "2024-02-26"])), "s")
+        n = int(rng.integers(3, 60))
+        day = rng.integers(0, 12, n) * 86400
+        second = rng.choice([0, 1, 34200, 57599, 86399], n) + rng.integers(0, 2, n)
+        grid = np.unique(start + (day + second).astype("timedelta64[s]"))
+        if grid.size < 3:
+            grid = start + np.arange(3).astype("timedelta64[s]")
+        n_assets = int(rng.integers(2, 5))
+        fills = None
+        if rng.random() < 0.7:
+            fills = rng.choice(np.array([0, 1, 2], dtype=np.int8),
+                               size=(n_assets, grid.size), p=[0.9, 0.07, 0.03])
+        return AlignedPanel(assets=tuple(stock_meta(f"T{i}") for i in range(n_assets)),
+                            grid=grid, prices=rng.uniform(1.0, 100.0, (n_assets, grid.size)),
+                            fills=fills)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_subperiods_and_nested_slices(self, seed):
+        rng = np.random.default_rng(seed)
+        panel = self.random_panel(rng)
+        first_day = panel.grid[0].astype("datetime64[D]")
+        for _ in range(6):
+            # days from 3 before the grid to 3 after it; a third are one day long
+            a = first_day + np.timedelta64(int(rng.integers(-3, 16)), "D")
+            b = a if rng.random() < 0.33 else (
+                first_day + np.timedelta64(int(rng.integers(-3, 16)), "D"))
+            sub = SubPeriod("s", min(a, b).item(), max(a, b).item())
+            sliced = check_slice_against_mask(panel, sub)
+            if sliced is not None and rng.random() < 0.6:
+                panel = sliced  # slice the slice next
+
+    def test_edge_subperiods(self):
+        grid = np.array(["2019-04-01T09:30", "2019-04-01T10:00", "2019-04-02T09:30",
+                         "2019-04-02T23:59:59", "2019-04-03T00:00", "2019-04-04T09:30",
+                         "2019-04-04T10:00", "2019-04-04T10:30"], dtype="datetime64[s]")
+        fills = np.zeros((2, grid.size), dtype=np.int8)
+        fills[0, 1] = 1
+        panel = AlignedPanel(assets=(stock_meta("A"), stock_meta("B")), grid=grid,
+                             prices=np.arange(1.0, 17.0).reshape(2, 8), fills=fills)
+        d = date.fromisoformat
+        for start, end, kept in [("2019-03-01", "2019-03-31", 0),  # before
+                                 ("2019-04-05", "2019-05-01", 0),  # after
+                                 ("2019-04-01", "2019-04-01", 2),  # one day, 2 stamps
+                                 ("2019-04-03", "2019-04-03", 1),  # one day, 1 stamp
+                                 ("2019-04-02", "2019-04-03", 3),  # day ends included
+                                 ("2019-04-04", "2019-04-04", 3),  # one day, no fills
+                                 ("2019-03-01", "2019-05-01", 8)]:
+            sliced = check_slice_against_mask(panel, SubPeriod("x", d(start), d(end)))
+            assert (0 if sliced is None else sliced.grid.size) == (kept if kept >= 3 else 0)
+
+
 class TestConfigFiles:
     def test_bundled_sector_map(self):
         sector_map = read_sector_map(sector_map_path())

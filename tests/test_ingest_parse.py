@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herdscan.errors import DuplicateTimestamp, MalformedRow
-from herdscan.ingest import _load_bars_rows, _parse_fast, load_bars
+from herdscan.ingest import _day_offsets, _load_bars_rows, _parse_fast, load_bars
 
 NEW_YORK = ZoneInfo("America/New_York")
 #: An ordinary day and the two New York DST switches of 2019 (UTC dates).
@@ -145,6 +145,29 @@ def test_common_layouts_take_the_fast_path(tmp_path, spelling, n_cols, header,
     assert np.array_equal(parsed[0], rows.timestamps)
     assert np.array_equal(parsed[1], rows.closes)
     assert len(rows) == len(stamps)
+
+
+def test_utc_offsets_are_shared_across_files_and_zones(tmp_path):
+    # Two Z files over the same days, both spanning the spring-forward and
+    # the fall-back switch, read in two zones: each read equals the row
+    # parser, and each zone looks each UTC day up once for both files.
+    stamps = utc_stamps()
+    paths = []
+    for name, closes in (("A", "1.5"), ("B", "2.5")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(f"{SPELLINGS['utc'](t)},{closes}\n" for t in stamps))
+        paths.append(path)
+    n_days = len({t.date() for t in stamps})
+    _day_offsets.cache_clear()
+    for tz in ("America/New_York", "Europe/London"):
+        for path in paths:
+            fast = load_bars(path, path.stem, tz=tz)
+            rows = _load_bars_rows(path, path.stem, tz=tz)
+            assert np.array_equal(fast.timestamps, rows.timestamps)
+            assert np.array_equal(fast.closes, rows.closes)
+    info = _day_offsets.cache_info()
+    assert info.misses == 2 * n_days
+    assert info.hits == 2 * n_days
 
 
 def test_fall_back_hour_duplicate_is_left_to_row_parser(tmp_path):
