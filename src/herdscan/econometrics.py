@@ -192,12 +192,10 @@ def ols(design: np.ndarray, response: np.ndarray, *,
         cov = s2 * xtx_inv
     se = np.sqrt(np.maximum(cov.diagonal(), 0.0))
 
-    if (se > 0).all():
-        t = coef / se
-    else:  # where the standard error is 0, t is 0 for a zero coefficient, else +-inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(se > 0, coef / se,
-                         np.where(coef == 0, 0.0, np.sign(coef) * np.inf))
+    # Where the standard error is 0 (or NaN), t is 0 for a zero coefficient,
+    # else +-inf; the division runs only where the standard error is positive.
+    t = np.divide(coef, se, out=np.where(coef == 0, 0.0, np.copysign(np.inf, coef)),
+                  where=se > 0)
 
     return RegressionFit(coefficients=coef, std_errors=se, t_stats=t,
                          p_values=_two_sided_p(t, dof), n_obs=n, dof=dof,
@@ -256,12 +254,12 @@ def basic_design(cs: CsadSeries) -> np.ndarray:
     return X
 
 
-def updown_design(cs: CsadSeries) -> np.ndarray:
-    """The C-ordered design [1, Dup|rm|, Dup rm^2, Ddn|rm|, Ddn rm^2]."""
-    return _fill_updown(cs.market_return, *up_down_masks(cs))
+def updown_design(cs: CsadSeries, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """The C-ordered design [1, Dup|rm|, Dup rm^2, Ddn|rm|, Ddn rm^2].
 
-
-def _fill_updown(rm: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    ``up`` and ``down`` are the regime masks of ``up_down_masks(cs)``.
+    """
+    rm = cs.market_return
     X = np.empty((rm.size, 5))
     X[:, 0] = 1.0
     abs_rm = np.abs(rm, out=X[:, 1])
@@ -293,7 +291,7 @@ def fit_csad_updown(cs: CsadSeries, *, min_obs: int = 10, min_regime: int = 5,
     if n_up < min_regime or n_down < min_regime:
         raise OneSidedSample(
             f"regime sizes up={n_up}, down={n_down}; need {min_regime} each")
-    return ols(_fill_updown(cs.market_return, up, down), cs.csad, hac=hac,
+    return ols(updown_design(cs, up, down), cs.csad, hac=hac,
                model=Model.CSAD_UPDOWN)
 
 

@@ -559,9 +559,11 @@ def _mst_csv(tree: SpanningTree | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Names of the files ``emit_report`` writes, as ``Path.glob`` patterns.
+#: Names of the files ``emit_report`` writes, as ``Path.glob`` patterns, and
+#: the ``partition_*.csv`` that ``cli communities`` writes next to its
+#: ``mst_*.csv``, so that a ``communities`` output set is removed whole.
 _REPORT_PATTERNS = ("run.json", "verdicts.csv", "communities_*.csv",
-                    "plotdata_*.csv", "mst_*.csv")
+                    "plotdata_*.csv", "mst_*.csv", "partition_*.csv")
 
 
 def _remove_stale_reports(out_dir: Path, written: Sequence[Path]) -> None:
@@ -584,9 +586,10 @@ def emit_report(run: AnalysisRun, out_dir: Path | str, *,
     run.json ``timings`` key stays null unless ``include_timings`` is set,
     which trades reproducibility for profiling data. Afterwards the files
     in ``out_dir`` named like report files (``run.json``, ``verdicts.csv``,
-    ``communities_*.csv``, ``plotdata_*.csv``, ``mst_*.csv``) that this run
-    did not write, such as those of an earlier run with other sub-periods,
-    are deleted; every other file is left alone.
+    ``communities_*.csv``, ``plotdata_*.csv``, ``mst_*.csv``) or like the
+    ``partition_*.csv`` of ``cli communities`` that this run did not write,
+    such as those of an earlier run with other sub-periods, are deleted;
+    every other file is left alone.
     """
     out_dir = Path(out_dir)
     _make_dir(out_dir)

@@ -145,7 +145,7 @@ class TestAnalyze:
         out = tmp_path / "out"
         analyze(first, out)
         foreign = {"notes.txt": "mine", "run.json.bak": "old", "mst_calm.txt": "x",
-                   "partition_calm.csv": "y"}
+                   "partition_calm.txt": "y"}
         for name, text in foreign.items():
             (out / name).write_text(text)
         (out / "mst_dir.csv").mkdir()
@@ -163,6 +163,26 @@ class TestAnalyze:
             assert (out / name).read_bytes() == (fresh / name).read_bytes()
         for name, text in foreign.items():
             assert (out / name).read_text() == text
+
+    def test_analyze_after_communities_removes_the_partitions(self, data_dir,
+                                                              tmp_path):
+        subs = tmp_path / "subs.csv"
+        subs.write_text(data_dir["subs"].read_text().splitlines()[0] + "\n")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        common = ["--data-dir", str(data_dir["bars"]),
+                  "--sectors", str(data_dir["sectors"])]
+        assert main(["communities", *common, "--subperiods",
+                     str(data_dir["subs"]), "--out", str(out)]) == 0
+        assert (out / "partition_calm.csv").is_file()
+        for target in (out, fresh):
+            assert main(["analyze", *common, "--subperiods", str(subs),
+                         "--out", str(target)]) == 0
+
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in fresh.iterdir())
+        assert not [n for n in names if n.startswith("partition_")]
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["analyze", "communities", "csad"])

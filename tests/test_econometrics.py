@@ -36,6 +36,7 @@ from herdscan.errors import (
     TooFewObservations,
     ZeroVarianceProxy,
 )
+from herdscan.returns import up_down_masks
 
 from generators import csad_series, herding_market, regime_market
 from oracles import (
@@ -203,7 +204,8 @@ class TestOlsMatchesScipyWrappers:
             rm = rng.normal(0.0, scale, n)
             cs = csad_series(rm, np.abs(0.01 + 0.5 * np.abs(rm)
                                         + scale * rng.standard_normal(n)))
-            X = basic_design(cs) if k == 3 else updown_design(cs)
+            X = (basic_design(cs) if k == 3
+                 else updown_design(cs, *up_down_masks(cs)))
             y = cs.csad
         else:
             X = np.column_stack([np.ones(n), scale * rng.standard_normal((n, k - 1))])
@@ -266,7 +268,8 @@ def test_designs_equal_column_stack_in_c_order():
         "updown": np.column_stack([np.ones(200), up * np.abs(rm), up * rm ** 2,
                                    down * np.abs(rm), down * rm ** 2]),
     }
-    for name, X in (("basic", basic_design(cs)), ("updown", updown_design(cs))):
+    for name, X in (("basic", basic_design(cs)),
+                    ("updown", updown_design(cs, up, down))):
         assert X.flags.c_contiguous, name
         assert np.array_equal(X, expected[name]), name
         assert not np.signbit(X).any(), name
@@ -346,7 +349,7 @@ class TestFitCsadUpdown:
         vals = 0.03 + 0.7 * np.abs(rm) - 1.5 * rm ** 2 \
             + 0.001 * rng.standard_normal(150)
         cs = csad_series(rm, vals)
-        full5 = updown_design(cs)
+        full5 = updown_design(cs, *up_down_masks(cs))
         assert np.array_equal(full5[:, 3], np.zeros(150))
         up_only = ols(full5[:, :3], cs.csad)
         basic = ols(basic_design(cs), cs.csad)
