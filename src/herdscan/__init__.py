@@ -44,7 +44,6 @@ from .ingest import (
     RawSeries,
     Sector,
     SubPeriod,
-    TradingWindow,
     Vehicle,
     align,
     filter_by_missing,
@@ -74,7 +73,7 @@ __all__ = [
     "CommunityReport", "CorrelationMatrix", "CsadSeries", "DistanceMatrix",
     "HerdingVerdict", "Model", "Partition", "RawSeries", "RegressionFit",
     "ReturnPanel", "Sector", "Significance", "SpanningTree", "SubPeriod",
-    "TradingWindow", "Vehicle", "VehicleCell", "WeightedGraph",
+    "Vehicle", "VehicleCell", "WeightedGraph",
     "aggregate", "align", "beta_distance_stats", "capm_beta",
     "compute_beta_reports", "csad", "delta_q", "emit_report",
     "filter_by_missing", "fit_csad_basic", "fit_csad_updown",

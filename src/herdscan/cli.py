@@ -81,13 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="smallest community that still gets regressed")
     analyze.add_argument("--hac", action="store_true",
                          help="Newey-West standard errors")
-    analyze.add_argument("--beta-proxy", default=None, metavar="TICKER",
-                         help="market proxy ticker (default: equal-weight mean)")
+    analyze.add_argument("--beta-proxy", type=str.upper, default=None,
+                         metavar="TICKER",
+                         help="market proxy ticker, any case "
+                              "(default: equal-weight mean)")
     analyze.add_argument("--louvain-weights", choices=LOUVAIN_WEIGHTINGS,
                          default="unit", help="edge weighting for the community graph")
-    analyze.add_argument("--include-timings", action="store_true",
-                         help="embed wall-clock timings in run.json "
-                              "(breaks byte reproducibility)")
 
     communities = commands.add_parser(
         "communities", help="export spanning trees and partitions only")
@@ -138,7 +137,7 @@ def _cmd_analyze(args) -> int:
         config_extra={"tz": args.tz, "vehicle_filter": args.vehicle},
     )
     run.timings["load"] = load_seconds
-    files = emit_report(run, args.out, include_timings=args.include_timings)
+    files = emit_report(run, args.out)
     log.info("timings: %s", {k: round(v, 3) for k, v in run.timings.items()})
     log.info("wrote %d files to %s", len(files), args.out)
     return 0

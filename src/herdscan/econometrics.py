@@ -64,6 +64,11 @@ from .returns import CsadSeries, up_down_masks
 #: Residual variance below this marks a fit as an exact (degenerate) fit.
 EXACT_FIT_VARIANCE = 1e-20
 
+#: Fewest observations a CSAD fit or a beta is computed from.
+MIN_OBS = 10
+#: Fewest observations the up/down fit needs in each market regime.
+MIN_REGIME = 5
+
 
 class Model(Enum):
     OLS = "ols"
@@ -271,26 +276,24 @@ def updown_design(cs: CsadSeries, up: np.ndarray, down: np.ndarray) -> np.ndarra
     return X
 
 
-def fit_csad_basic(cs: CsadSeries, *, min_obs: int = 10,
-                   hac: bool = False) -> RegressionFit:
+def fit_csad_basic(cs: CsadSeries, *, hac: bool = False) -> RegressionFit:
     """Fit the basic dispersion regression on [1, |rm|, rm^2]."""
-    if len(cs) < min_obs:
-        raise TooFewObservations(f"{len(cs)} observations, need {min_obs}")
+    if len(cs) < MIN_OBS:
+        raise TooFewObservations(f"{len(cs)} observations, need {MIN_OBS}")
     if np.ptp(cs.market_return) == 0:
         raise DegenerateRegressor("market return is constant")
     return ols(basic_design(cs), cs.csad, hac=hac, model=Model.CSAD_BASIC)
 
 
-def fit_csad_updown(cs: CsadSeries, *, min_obs: int = 10, min_regime: int = 5,
-                    hac: bool = False) -> RegressionFit:
+def fit_csad_updown(cs: CsadSeries, *, hac: bool = False) -> RegressionFit:
     """Fit the regime-split dispersion regression with up/down dummies."""
-    if len(cs) < min_obs:
-        raise TooFewObservations(f"{len(cs)} observations, need {min_obs}")
+    if len(cs) < MIN_OBS:
+        raise TooFewObservations(f"{len(cs)} observations, need {MIN_OBS}")
     up, down = up_down_masks(cs)
     n_up, n_down = np.count_nonzero(up), np.count_nonzero(down)
-    if n_up < min_regime or n_down < min_regime:
+    if n_up < MIN_REGIME or n_down < MIN_REGIME:
         raise OneSidedSample(
-            f"regime sizes up={n_up}, down={n_down}; need {min_regime} each")
+            f"regime sizes up={n_up}, down={n_down}; need {MIN_REGIME} each")
     return ols(updown_design(cs, up, down), cs.csad, hac=hac,
                model=Model.CSAD_UPDOWN)
 
@@ -339,15 +342,14 @@ def verdict(fit4: RegressionFit,
     )
 
 
-def capm_beta(asset: np.ndarray, proxy: np.ndarray, *,
-              min_obs: int = 10) -> float:
+def capm_beta(asset: np.ndarray, proxy: np.ndarray) -> float:
     """Slope of asset returns on proxy returns: cov(asset, proxy)/var(proxy)."""
     a = np.asarray(asset, dtype=np.float64)
     p = np.asarray(proxy, dtype=np.float64)
     if a.shape != p.shape or a.ndim != 1:
         raise ValueError("asset and proxy must be equal-length vectors")
-    if a.size < min_obs:
-        raise TooFewObservations(f"{a.size} observations, need {min_obs}")
+    if a.size < MIN_OBS:
+        raise TooFewObservations(f"{a.size} observations, need {MIN_OBS}")
     p_dev = p - p.mean()
     var = float(np.einsum("i,i->", p_dev, p_dev))
     if var < 1e-30:

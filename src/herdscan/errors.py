@@ -103,12 +103,6 @@ class UncoveredNode(HerdscanError):
 
 # --- pipeline -------------------------------------------------------------
 
-class VehicleTooSmall(DataError):
-    def __init__(self, vehicle):
-        self.vehicle = vehicle
-        super().__init__(f"fewer than 2 assets for vehicle {vehicle}")
-
-
 class EmptyCommunity(DataError):
     pass
 

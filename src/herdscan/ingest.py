@@ -18,7 +18,7 @@ one dot, are converted by integer arithmetic to the same double ``float()`` give
 ``_gather_floats``); other spellings take numpy's string cast.
 
 The alignment step restricts every series to the regular trading window
-(09:30 inclusive to 16:00 exclusive by default), builds a shared grid from
+(09:30 inclusive to 16:00 exclusive), builds a shared grid from
 timestamps present in at least half of the assets, and forward-fills the
 remaining gaps, marking every filled cell in the panel's ``fills`` array.
 """
@@ -30,7 +30,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, time
+from datetime import date, datetime
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -124,27 +124,12 @@ class AssetMeta:
                 f"{self.ticker}: ETF vehicle and UsEtf sector must coincide")
 
 
-@dataclass(frozen=True)
-class TradingWindow:
-    """Half-open daily time-of-day window [start, end)."""
+#: Regular US trading hours, as minutes after midnight: [09:30, 16:00).
+TRADING_START_MINUTE = 570
+TRADING_END_MINUTE = 960
 
-    start: time = time(9, 30)
-    end: time = time(16, 0)
-
-    def __post_init__(self):
-        if self.start >= self.end:
-            raise ConfigError("trading window start must precede end")
-
-    @property
-    def start_minute(self) -> int:
-        return self.start.hour * 60 + self.start.minute
-
-    @property
-    def end_minute(self) -> int:
-        return self.end.hour * 60 + self.end.minute
-
-
-DEFAULT_TRADING_WINDOW = TradingWindow()
+#: Share of assets a timestamp must appear in to join the shared grid.
+GRID_QUORUM = 0.5
 
 
 @dataclass(frozen=True)
@@ -488,20 +473,19 @@ def _fixed_width_seconds(win: np.ndarray) -> np.ndarray | None:
         valid &= win[:, 16] == ord(":")
     if width in (17, 20):
         valid &= win[:, -1] == ord("Z")
-    digits = win - np.uint8(ord("0"))
     cols = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15] + ([17, 18] if with_seconds else [])
-    valid &= (digits[:, cols] <= 9).all(axis=1)
-
-    def number(lo: int, hi: int) -> np.ndarray:
-        out = np.zeros(win.shape[0], dtype=np.int64)
-        for col in range(lo, hi):
-            out = out * 10 + digits[:, col]
-        return out
-
-    year, month, day = number(0, 4), number(5, 7), number(8, 10)
-    hour, minute = number(11, 13), number(14, 16)
-    second = number(17, 19) if with_seconds else 0
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    digits = win[:, cols] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+    valid &= (digits <= 9).all(axis=1)
+    # digit pairs (at most 99, so uint8 holds them) as one int64 row per
+    # field: the year's two halves, month, day, hour, minute[, second]
+    pairs = (digits[:, 0::2] * np.uint8(10) + digits[:, 1::2]).T
+    pairs = pairs.astype(np.int64, order="C")
+    high, low, month, day, hour, minute = pairs[:6]
+    second = pairs[6] if with_seconds else 0
+    year = high * 100 + low
+    # 4 divides 100, so the year is a multiple of 4 when ``low`` is, and of
+    # 400 when ``low`` is 0 and ``high`` a multiple of 4
+    leap = ((low & 3) == 0) & ((low != 0) | ((high & 3) == 0))
     month_ok = (month >= 1) & (month <= 12)
     days_in_month = _DAYS_IN_MONTH[np.where(month_ok, month - 1, 0)] + (leap & (month == 2))
     valid &= (month_ok & (year >= 1) & (day >= 1) & (day <= days_in_month)
@@ -718,27 +702,24 @@ def _cast_floats(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 
 # --- filtering and alignment -------------------------------------------------
 
-def in_window(series: RawSeries, window: TradingWindow = DEFAULT_TRADING_WINDOW
-              ) -> np.ndarray:
+def in_window(series: RawSeries) -> np.ndarray:
     """Boolean mask of observations inside the daily trading window."""
     minutes = ((series.timestamps - series.timestamps.astype("datetime64[D]"))
                .astype("timedelta64[m]").astype(np.int64))
-    return (minutes >= window.start_minute) & (minutes < window.end_minute)
+    return (minutes >= TRADING_START_MINUTE) & (minutes < TRADING_END_MINUTE)
 
 
 def filter_by_missing(series: RawSeries, grid: Sequence | np.ndarray,
-                      vehicle: Vehicle, *,
-                      thresholds: Mapping[Vehicle, float] | None = None
-                      ) -> FilterDecision:
+                      vehicle: Vehicle) -> FilterDecision:
     """Accept/reject an asset by the fraction of grid timestamps it misses.
 
-    The grid is expected sorted and unique, as ``shared_grid`` returns it.
+    The limit is the vehicle's entry in ``DEFAULT_MISSING_THRESHOLDS``. The
+    grid is expected sorted and unique, as ``shared_grid`` returns it.
     """
     grid_arr = np.asarray(grid, dtype="datetime64[s]")
     if grid_arr.size == 0:
         raise EmptyGrid("cannot filter against an empty grid")
-    limits = DEFAULT_MISSING_THRESHOLDS if thresholds is None else thresholds
-    threshold = float(limits[vehicle])
+    threshold = DEFAULT_MISSING_THRESHOLDS[vehicle]
     # series stamps are strictly increasing, so each matches one grid stamp
     pos = np.searchsorted(grid_arr, series.timestamps)
     observed = np.count_nonzero(
@@ -749,13 +730,11 @@ def filter_by_missing(series: RawSeries, grid: Sequence | np.ndarray,
                           threshold=threshold)
 
 
-def shared_grid(series_list: Sequence[RawSeries],
-                window: TradingWindow = DEFAULT_TRADING_WINDOW,
-                *, quorum: float = 0.5) -> np.ndarray:
-    """Union of in-window timestamps present in at least ``quorum`` of assets."""
+def shared_grid(series_list: Sequence[RawSeries]) -> np.ndarray:
+    """Union of in-window timestamps present in at least ``GRID_QUORUM`` of assets."""
     if not series_list:
         raise EmptyGrid("no series")
-    masks = [in_window(s, window) for s in series_list]
+    masks = [in_window(s) for s in series_list]
     stamps = np.empty(sum(int(np.count_nonzero(m)) for m in masks), dtype=np.int64)
     if not stamps.size:
         raise EmptyGrid("no in-window observations in any series")
@@ -767,12 +746,10 @@ def shared_grid(series_list: Sequence[RawSeries],
     stamps.sort()
     firsts = np.concatenate(([0], np.flatnonzero(stamps[1:] != stamps[:-1]) + 1))
     counts = np.diff(firsts, append=stamps.size)
-    return stamps[firsts[counts >= quorum * len(series_list)]].view("datetime64[s]")
+    return stamps[firsts[counts >= GRID_QUORUM * len(series_list)]].view("datetime64[s]")
 
 
-def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta],
-          window: TradingWindow = DEFAULT_TRADING_WINDOW,
-          *, quorum: float = 0.5) -> AlignedPanel:
+def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta]) -> AlignedPanel:
     """Align accepted series onto one shared in-window grid.
 
     Gaps are forward-filled from the asset's last prior in-window
@@ -787,12 +764,12 @@ def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta],
         raise ConfigError(f"no metadata for tickers: {sorted(missing_meta)}")
 
     ordered = sorted(accepted, key=lambda s: s.ticker)
-    masks = [in_window(s, window) for s in ordered]
+    masks = [in_window(s) for s in ordered]
     for s, mask in zip(ordered, masks):
         if not mask.any():
             raise UnfillableAsset(s.ticker)
 
-    grid = shared_grid(ordered, window, quorum=quorum)
+    grid = shared_grid(ordered)
     if grid.size == 0:
         raise EmptyGrid("no timestamp reaches the asset quorum")
     if grid.size < 3:

@@ -12,7 +12,7 @@ return as the market return. One per-sub-period chain serves
 Sub-periods are independent work units. ``HERDSCAN_THREADS`` (default: the
 CPU count) caps the worker count, for the library and the CLI alike. Report
 files are byte-deterministic for a given input and configuration, so
-wall-clock timings stay out of them unless explicitly requested.
+wall-clock timings never go into them; the CLI logs them instead.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from typing import Callable, Mapping, Sequence
 
 from .community import LOUVAIN_WEIGHTINGS, Partition, graph_from_tree, louvain
 from .econometrics import (
+    MIN_OBS,
+    MIN_REGIME,
     BetaReport,
     HerdingVerdict,
     RegressionFit,
@@ -48,19 +50,16 @@ from .errors import (
     OneSidedSample,
     RankDeficient,
     TooFewObservations,
-    VehicleTooSmall,
 )
 from .graph import SpanningTree, mst, pearson_matrix, to_distance
 from .ingest import (
     DEFAULT_TIMEZONE,
-    DEFAULT_TRADING_WINDOW,
     FULL_PERIOD,
     AlignedPanel,
     AssetMeta,
     FilterDecision,
     Sector,
     SubPeriod,
-    TradingWindow,
     Vehicle,
     _check_report_names,
     align,
@@ -160,16 +159,15 @@ def _map_units(fn: Callable, units: Sequence) -> list:
 # --- loading ------------------------------------------------------------------
 
 def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
-               window: TradingWindow = DEFAULT_TRADING_WINDOW,
-               tz: str = DEFAULT_TIMEZONE,
-               thresholds: Mapping[Vehicle, float] | None = None,
-               quorum: float = 0.5,
+               tz: str = DEFAULT_TIMEZONE
                ) -> tuple[AlignedPanel, dict[str, FilterDecision]]:
     """Load every ``*.csv`` in a directory and align the accepted assets.
 
-    Files load one after another. The missing-data filter runs against a
-    provisional grid built from all loaded series; the final grid is rebuilt
-    from the accepted ones. The returned decisions include rejected tickers.
+    Files load one after another, their stamps read in zone ``tz``. The
+    missing-data filter runs against a provisional grid built from all
+    loaded series; the final grid is rebuilt from the accepted ones. The
+    trading hours, the grid quorum and the missing-data limits are
+    ``ingest`` constants. The returned decisions include rejected tickers.
     """
     data_dir = Path(data_dir)
     files = sorted(data_dir.glob("*.csv"))
@@ -181,19 +179,18 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
         raise ConfigError(f"tickers missing from the sector map: {unmapped}")
 
     series = [load_bars(p, p.stem.upper(), tz=tz) for p in files]
-    grid = shared_grid(series, window, quorum=quorum)
+    grid = shared_grid(series)
     decisions: dict[str, FilterDecision] = {}
     accepted = []
     for s in series:
-        decision = filter_by_missing(s, grid, sector_map[s.ticker].vehicle,
-                                     thresholds=thresholds)
+        decision = filter_by_missing(s, grid, sector_map[s.ticker].vehicle)
         decisions[s.ticker] = decision
         if decision.accepted:
             accepted.append(s)
     if len(accepted) < 2:
         raise DataError("fewer than 2 assets pass the missing-data filter")
     metas = [sector_map[s.ticker] for s in accepted]
-    return align(accepted, metas, window, quorum=quorum), decisions
+    return align(accepted, metas), decisions
 
 
 def full_subperiod(panel: AlignedPanel) -> SubPeriod:
@@ -211,14 +208,13 @@ def _with_full_period(panel: AlignedPanel,
 
 # --- per-vehicle analysis -------------------------------------------------------
 
-def _herding(cs: CsadSeries, *, min_obs: int, min_regime: int,
-             hac: bool) -> tuple[HerdingVerdict | None, str | None]:
+def _herding(cs: CsadSeries, *, hac: bool
+             ) -> tuple[HerdingVerdict | None, str | None]:
     """The herding verdict of a dispersion series, or why it was skipped."""
     try:
-        fit4 = fit_csad_basic(cs, min_obs=min_obs, hac=hac)
+        fit4 = fit_csad_basic(cs, hac=hac)
         try:
-            fit5: RegressionFit | None = fit_csad_updown(
-                cs, min_obs=min_obs, min_regime=min_regime, hac=hac)
+            fit5: RegressionFit | None = fit_csad_updown(cs, hac=hac)
         except OneSidedSample:
             fit5 = None
         return verdict(fit4, fit5), None
@@ -227,29 +223,21 @@ def _herding(cs: CsadSeries, *, min_obs: int, min_regime: int,
 
 
 def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
-                    vehicles: Sequence[Vehicle] | None = None,
-                    min_obs: int = 10, min_regime: int = 5, hac: bool = False,
-                    ) -> dict[tuple[Vehicle, str], VehicleCell]:
+                    hac: bool = False) -> dict[tuple[Vehicle, str], VehicleCell]:
     """Herding verdicts per (vehicle, sub-period), plus the full period.
 
-    Explicitly requested vehicles must have at least 2 panel assets
-    (VehicleTooSmall otherwise); with ``vehicles=None`` every vehicle
-    present is analyzed and undersized ones become skipped cells.
+    Every vehicle present in the panel is analyzed; one with fewer than 2
+    assets gets ``too_few_assets`` cells. To analyze one vehicle, restrict
+    the panel to its assets first.
     """
     by_vehicle: dict[Vehicle, list[str]] = {}
     for a in panel.assets:
         by_vehicle.setdefault(a.vehicle, []).append(a.ticker)
-
-    explicit = vehicles is not None
-    wanted = list(vehicles) if explicit else sorted(by_vehicle, key=lambda v: v.value)
-    if explicit:
-        for v in wanted:
-            if len(by_vehicle.get(v, [])) < 2:
-                raise VehicleTooSmall(v.value)
+    vehicles = sorted(by_vehicle, key=lambda v: v.value)
 
     all_subs = _with_full_period(panel, subs)
     # Each vehicle is restricted once; its sub-periods slice that panel.
-    vehicle_panels = {v: panel.restrict(by_vehicle[v]) for v in wanted
+    vehicle_panels = {v: panel.restrict(by_vehicle[v]) for v in vehicles
                       if len(by_vehicle[v]) >= 2}
 
     def one(unit: tuple[Vehicle, SubPeriod]) -> VehicleCell:
@@ -264,10 +252,10 @@ def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
         except EmptySlice:
             return VehicleCell(vehicle, sub.name, None, "empty_slice", n_assets, 0)
         cs = csad(log_returns(sub_panel))
-        v, reason = _herding(cs, min_obs=min_obs, min_regime=min_regime, hac=hac)
+        v, reason = _herding(cs, hac=hac)
         return VehicleCell(vehicle, sub.name, v, reason, n_assets, len(cs))
 
-    units = [(v, sub) for v in wanted for sub in all_subs]
+    units = [(v, sub) for v in vehicles for sub in all_subs]
     cells = _map_units(one, units)
     return {(c.vehicle, c.sub_period): c for c in cells}
 
@@ -301,8 +289,8 @@ def _sub_structure(panel: AlignedPanel, louvain_weights: str,
 
 
 def _community_reports(rp: ReturnPanel, partition: Partition, sub_name: str, *,
-                       min_community_size: int, min_obs: int, min_regime: int,
-                       hac: bool) -> tuple[CommunityReport, ...]:
+                       min_community_size: int, hac: bool
+                       ) -> tuple[CommunityReport, ...]:
     """Sector mix and herding verdict of every community of a partition."""
     meta_by_ticker = {a.ticker: a for a in rp.assets}
     reports: list[CommunityReport] = []
@@ -312,19 +300,17 @@ def _community_reports(rp: ReturnPanel, partition: Partition, sub_name: str, *,
         if len(tickers) < min_community_size:
             v, reason = None, "below_min_size"
         else:
-            v, reason = _herding(csad(rp.restrict(tickers)), min_obs=min_obs,
-                                 min_regime=min_regime, hac=hac)
+            v, reason = _herding(csad(rp.restrict(tickers)), hac=hac)
         reports.append(CommunityReport(sub_name, cid, tickers, v, mix, reason))
     return tuple(reports)
 
 
-def _regressions(min_community_size: int, min_obs: int, min_regime: int,
-                 hac: bool) -> Callable:
+def _regressions(min_community_size: int, hac: bool) -> Callable:
     """``_community_reports`` with its options checked and bound."""
     if min_community_size < 2:
         raise ConfigError("min_community_size must be at least 2")
     return partial(_community_reports, min_community_size=min_community_size,
-                   min_obs=min_obs, min_regime=min_regime, hac=hac)
+                   hac=hac)
 
 
 def _check_weighting(louvain_weights: str) -> None:
@@ -343,12 +329,11 @@ def _combined(panel: AlignedPanel, subs: Sequence[SubPeriod], louvain_weights: s
 
 def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  min_community_size: int = DEFAULT_MIN_COMMUNITY_SIZE,
-                 louvain_weights: str = "unit",
-                 min_obs: int = 10, min_regime: int = 5, hac: bool = False,
+                 louvain_weights: str = "unit", hac: bool = False,
                  ) -> dict[str, tuple[CommunityReport, ...]]:
     """Community detection plus per-community herding for every sub-period."""
     _check_weighting(louvain_weights)
-    regress = _regressions(min_community_size, min_obs, min_regime, hac)
+    regress = _regressions(min_community_size, hac)
     if len(panel.assets) < 3:
         raise DataError("combined analysis needs at least 3 assets")
     return {name: reports for name, _, _, reports
@@ -369,8 +354,8 @@ def community_structure(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
 EQUAL_WEIGHT_PROXY = "equal-weight market"
 
 
-def compute_beta_reports(panel: AlignedPanel, *, proxy: str | None = None,
-                         min_obs: int = 10) -> dict[Vehicle, BetaReport]:
+def compute_beta_reports(panel: AlignedPanel, *,
+                         proxy: str | None = None) -> dict[Vehicle, BetaReport]:
     """CAPM betas per vehicle over the full period, vs one chosen proxy."""
     rp = log_returns(panel)
     if proxy is not None:
@@ -384,7 +369,7 @@ def compute_beta_reports(panel: AlignedPanel, *, proxy: str | None = None,
 
     out: dict[Vehicle, BetaReport] = {}
     for vehicle in sorted({a.vehicle for a in panel.assets}, key=lambda v: v.value):
-        betas = {a.ticker: capm_beta(returns, proxy_returns, min_obs=min_obs)
+        betas = {a.ticker: capm_beta(returns, proxy_returns)
                  for a, returns in zip(rp.assets, rp.returns)
                  if a.vehicle is vehicle}
         out[vehicle] = build_beta_report(betas, label)
@@ -394,15 +379,18 @@ def compute_beta_reports(panel: AlignedPanel, *, proxy: str | None = None,
 # --- full run ----------------------------------------------------------------------
 
 def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
-                 vehicles: Sequence[Vehicle] | None = None,
                  min_community_size: int = DEFAULT_MIN_COMMUNITY_SIZE,
                  louvain_weights: str = "unit",
                  beta_proxy: str | None = None,
-                 min_obs: int = 10, min_regime: int = 5, hac: bool = False,
+                 hac: bool = False,
                  config_extra: Mapping | None = None) -> AnalysisRun:
-    """Run both analysis passes plus beta reports and collect timings."""
+    """Run both analysis passes plus beta reports and collect timings.
+
+    Every vehicle in the panel is analyzed (``"vehicles": "all"`` in the
+    config); ``min_obs`` and ``min_regime`` record the econometrics floors.
+    """
     _check_weighting(louvain_weights)
-    regress = _regressions(min_community_size, min_obs, min_regime, hac)
+    regress = _regressions(min_community_size, hac)
     config = {
         "schema_version": SCHEMA_VERSION,
         "n_assets": len(panel.assets),
@@ -411,12 +399,12 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
         "last_timestamp": str(panel.grid[-1]),
         "subperiods": [{"name": s.name, "start": s.start.isoformat(),
                         "end": s.end.isoformat()} for s in subs],
-        "vehicles": sorted(v.value for v in vehicles) if vehicles else "all",
+        "vehicles": "all",
         "min_community_size": min_community_size,
         "louvain_weights": louvain_weights,
         "beta_proxy": beta_proxy or EQUAL_WEIGHT_PROXY,
-        "min_obs": min_obs,
-        "min_regime": min_regime,
+        "min_obs": MIN_OBS,
+        "min_regime": MIN_REGIME,
         "hac": hac,
     }
     if config_extra:
@@ -426,8 +414,7 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
 
     timings: dict[str, float] = {}
     t0 = time_mod.perf_counter()
-    per_vehicle = run_per_vehicle(panel, subs, vehicles=vehicles, min_obs=min_obs,
-                                  min_regime=min_regime, hac=hac)
+    per_vehicle = run_per_vehicle(panel, subs, hac=hac)
     timings["per_vehicle"] = time_mod.perf_counter() - t0
 
     t1 = time_mod.perf_counter()
@@ -437,7 +424,7 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
     timings["combined"] = time_mod.perf_counter() - t1
 
     t2 = time_mod.perf_counter()
-    beta_reports = compute_beta_reports(panel, proxy=beta_proxy, min_obs=min_obs)
+    beta_reports = compute_beta_reports(panel, proxy=beta_proxy)
     timings["betas"] = time_mod.perf_counter() - t2
     timings["total"] = time_mod.perf_counter() - t0
 
@@ -482,7 +469,7 @@ def _verdict_dict(v: HerdingVerdict | None) -> dict | None:
     }
 
 
-def _run_json(run: AnalysisRun, include_timings: bool) -> dict:
+def _run_json(run: AnalysisRun) -> dict:
     per_vehicle: dict[str, dict] = {}
     for (vehicle, sub), cell in run.per_vehicle.items():
         per_vehicle.setdefault(vehicle.value, {})[sub] = {
@@ -516,7 +503,7 @@ def _run_json(run: AnalysisRun, include_timings: bool) -> dict:
         "per_vehicle": per_vehicle,
         "combined": combined,
         "betas": betas,
-        "timings": dict(run.timings) if include_timings else None,
+        "timings": None,  # wall-clock times differ per run; the CLI logs them
     }
 
 
@@ -578,13 +565,11 @@ def _remove_stale_reports(out_dir: Path, written: Sequence[Path]) -> None:
                     raise IoFailure(path, exc) from None
 
 
-def emit_report(run: AnalysisRun, out_dir: Path | str, *,
-                include_timings: bool = False) -> list[Path]:
+def emit_report(run: AnalysisRun, out_dir: Path | str) -> list[Path]:
     """Write run.json plus the per-sub-period CSV set.
 
     Outputs are byte-deterministic for identical input and config; the
-    run.json ``timings`` key stays null unless ``include_timings`` is set,
-    which trades reproducibility for profiling data. Afterwards the files
+    run.json ``timings`` key is always null. Afterwards the files
     in ``out_dir`` named like report files (``run.json``, ``verdicts.csv``,
     ``communities_*.csv``, ``plotdata_*.csv``, ``mst_*.csv``) or like the
     ``partition_*.csv`` of ``cli communities`` that this run did not write,
@@ -596,8 +581,7 @@ def emit_report(run: AnalysisRun, out_dir: Path | str, *,
     written: list[Path] = []
 
     run_path = out_dir / "run.json"
-    _write(run_path, json.dumps(_run_json(run, include_timings),
-                                sort_keys=True, indent=2) + "\n")
+    _write(run_path, json.dumps(_run_json(run), sort_keys=True, indent=2) + "\n")
     written.append(run_path)
 
     # verdicts.csv: one row per (vehicle, sub-period)

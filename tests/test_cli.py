@@ -83,6 +83,17 @@ class TestAnalyze:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_beta_proxy_ignores_case(self, data_dir, tmp_path):
+        # tickers are upper-cased file stems, so the flag is upper-cased too
+        for proxy in ("e00", "E00"):
+            assert main(["analyze", "--data-dir", str(data_dir["bars"]),
+                         "--sectors", str(data_dir["sectors"]),
+                         "--subperiods", str(data_dir["subs"]),
+                         "--beta-proxy", proxy,
+                         "--out", str(tmp_path / proxy)]) == 0
+        assert ((tmp_path / "e00" / "run.json").read_bytes()
+                == (tmp_path / "E00" / "run.json").read_bytes())
+
     def test_bad_data_is_data_error(self, data_dir, tmp_path):
         bad = tmp_path / "bad"
         bad.mkdir()

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import date, time
+from datetime import date
 
 import numpy as np
 import pytest
@@ -18,13 +18,13 @@ from herdscan.errors import (
     UnfillableAsset,
 )
 from herdscan.ingest import (
-    DEFAULT_TRADING_WINDOW,
+    TRADING_END_MINUTE,
+    TRADING_START_MINUTE,
     AlignedPanel,
     AssetMeta,
     RawSeries,
     Sector,
     SubPeriod,
-    TradingWindow,
     Vehicle,
     _load_bars_rows,
     align,
@@ -170,13 +170,6 @@ class TestFilterByMissing:
         decision = filter_by_missing(s, grid, Vehicle.STOCK)
         assert decision.accepted and decision.missing_fraction == 0.0
 
-    def test_custom_thresholds(self):
-        grid = intraday_grid(100)
-        s = series("X", grid[:98], np.full(98, 100.0))
-        decision = filter_by_missing(s, grid, Vehicle.STOCK,
-                                     thresholds={Vehicle.STOCK: 0.05})
-        assert decision.accepted
-
 
 class TestAlign:
     def test_identical_grids_no_fills(self):
@@ -250,6 +243,16 @@ class TestAlign:
         # last 4 stamps live in 1 of 3 assets: below the 50% quorum
         assert panel.grid.tolist() == grid[:8].tolist()
 
+    def test_quorum_boundary(self):
+        grid = intraday_grid(12)
+        a = series("A", grid, np.full(12, 100.0))
+        b = series("B", grid[:10], np.full(10, 50.0))
+        c = series("C", grid[:8], np.full(8, 25.0))
+        d = series("D", grid[:8], np.full(8, 75.0))
+        panel = align([a, b, c, d], [stock_meta(t) for t in "ABCD"])
+        # stamps 8-9 live in exactly 2 of 4 assets (on the grid), 10-11 in 1 of 4
+        assert panel.grid.tolist() == grid[:10].tolist()
+
     def test_align_idempotent(self):
         grid = intraday_grid(20)
         rng = np.random.default_rng(3)
@@ -310,9 +313,8 @@ def gappy_series(rng, n_assets: int, n_bars: int) -> list[RawSeries]:
 
 
 def oracle_fill_log(series: list[RawSeries], grid: np.ndarray) -> list[tuple]:
-    window = DEFAULT_TRADING_WINDOW
     return oracles.fill_log({s.ticker: s.timestamps for s in series}, grid,
-                            window.start_minute, window.end_minute)
+                            TRADING_START_MINUTE, TRADING_END_MINUTE)
 
 
 class TestFills:
@@ -593,7 +595,3 @@ class TestPanelInvariants:
         with pytest.raises(DataError):
             AlignedPanel(assets=(stock_meta("A"), stock_meta("B")),
                          grid=grid, prices=np.full((2, 2), 1.0))
-
-    def test_trading_window_validation(self):
-        with pytest.raises(ConfigError):
-            TradingWindow(start=time(16, 0), end=time(9, 30))

@@ -7,6 +7,7 @@ return the same series or raise the same error at the same line.
 
 from __future__ import annotations
 
+import calendar
 import csv
 from datetime import datetime, timedelta
 from zoneinfo import ZoneInfo
@@ -17,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herdscan.errors import DuplicateTimestamp, MalformedRow
-from herdscan.ingest import _day_offsets, _load_bars_rows, _parse_fast, load_bars
+from herdscan.ingest import (
+    _day_offsets,
+    _fixed_width_seconds,
+    _load_bars_rows,
+    _parse_fast,
+    load_bars,
+)
 
 NEW_YORK = ZoneInfo("America/New_York")
 #: An ordinary day and the two New York DST switches of 2019 (UTC dates).
@@ -213,6 +220,43 @@ def test_invalid_stamps_are_left_to_row_parser(tmp_path, stamp):
     with pytest.raises(MalformedRow) as err:
         load_bars(path, "X")
     assert err.value.line_no == 2
+
+
+EPOCH = datetime(1970, 1, 1)
+
+
+def stamp_rows(texts: list[str]) -> np.ndarray:
+    """Equal-width stamps, one row of bytes each."""
+    return np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(len(texts), -1)
+
+
+def epoch_seconds(t: datetime) -> int:
+    return (t - EPOCH) // timedelta(seconds=1)
+
+
+@given(st.lists(st.datetimes(min_value=datetime(1, 1, 1),
+                             max_value=datetime(9999, 12, 31, 23, 59, 59)),
+                min_size=1, max_size=20),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_stamp_seconds_match_datetime(instants, with_seconds):
+    # formatted by hand: strftime leaves years below 1000 unpadded on glibc
+    spelling = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}" + (":{:02d}" if with_seconds else "")
+    texts = [spelling.format(t.year, t.month, t.day, t.hour, t.minute, t.second)
+             for t in instants]
+    expected = [epoch_seconds(t.replace(second=t.second if with_seconds else 0,
+                                        microsecond=0)) for t in instants]
+    assert _fixed_width_seconds(stamp_rows(texts)).tolist() == expected
+
+
+@pytest.mark.parametrize("year", [1, 4, 100, 400, 1600, 1700, 1900, 2000, 2019,
+                                  2020, 2100, 2400, 9996, 9999])
+def test_february_29_only_in_leap_years(year):
+    secs = _fixed_width_seconds(stamp_rows([f"{year:04d}-02-29 12:00"]))
+    if calendar.isleap(year):
+        assert secs.tolist() == [epoch_seconds(datetime(year, 2, 29, 12))]
+    else:
+        assert secs is None
 
 
 @pytest.mark.parametrize("text", [

@@ -19,7 +19,6 @@ from herdscan.errors import (
     EmptyCommunity,
     EmptySlice,
     OneSidedSample,
-    VehicleTooSmall,
 )
 from herdscan.ingest import AlignedPanel, AssetMeta, Sector, SubPeriod, Vehicle, slice_panel
 from herdscan.pipeline import (
@@ -113,11 +112,6 @@ class TestRunPerVehicle:
         cell = cells[(Vehicle.STOCK, "full")]
         assert cell.verdict is None
         assert cell.skipped_reason == "degenerate_regressor"
-
-    def test_explicit_vehicle_too_small(self):
-        panel = random_walk_panel(1, 4, 60)
-        with pytest.raises(VehicleTooSmall):
-            run_per_vehicle(panel, [], vehicles=[Vehicle.CRYPTO])
 
     def test_all_vehicles_means_vehicles_present(self):
         panel = random_walk_panel(2, 4, 60)  # stocks only
@@ -353,6 +347,26 @@ class TestBetaReports:
             assert betas[follower] == pytest.approx(1.0, abs=0.1)
 
 
+#: The run.json config block of ``TestEmitReport.small_run``.
+CONFIG_BLOCK = {
+    "schema_version": 1,
+    "n_assets": 12,
+    "n_timestamps": 1001,
+    "first_timestamp": "2019-04-01T09:30:00",
+    "last_timestamp": "2019-07-16T15:30:00",
+    "subperiods": [{"name": "event", "start": "2019-04-01", "end": "2019-06-10"},
+                   {"name": "calm", "start": "2019-06-10", "end": "2019-07-16"}],
+    "vehicles": "all",
+    "min_community_size": 4,
+    "louvain_weights": "unit",
+    "beta_proxy": "equal-weight market",
+    "min_obs": 10,
+    "min_regime": 5,
+    "hac": False,
+    "digest": "8c59d25809ba176009834da30bfd0bba2e7d9f11d422af6d3cd55cc3d53976ab",
+}
+
+
 class TestEmitReport:
     @pytest.fixture
     def small_run(self):
@@ -422,11 +436,12 @@ class TestEmitReport:
         for f in files:
             assert (one / f).read_bytes() == (two / f).read_bytes(), f
 
-    def test_include_timings(self, small_run, tmp_path):
-        emit_report(small_run, tmp_path, include_timings=True)
+    def test_config_block(self, small_run, tmp_path):
+        # every key goes into config_digest; a changed value changes the digest
+        emit_report(small_run, tmp_path)
         doc = json.loads((tmp_path / "run.json").read_text())
-        assert doc["timings"] is not None
-        assert "total" in doc["timings"]
+        assert doc["config"] == CONFIG_BLOCK
+        assert doc["timings"] is None
 
     def test_empty_subperiod_list_yields_full_only(self, tmp_path):
         panel, _, _ = vehicle_event_panel(5, n_per_vehicle=4,
