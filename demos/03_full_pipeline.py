@@ -1,9 +1,9 @@
 """End-to-end run: bar CSVs on disk to a deterministic report directory.
 
 Writes a small three-vehicle dataset (stocks, ETFs, cryptos around one
-factor each), a sector map, and a sub-period file into a scratch
+factor each), a sector map, and a sub-period file into a temporary
 directory, then drives the same code path as `herdscan analyze` and walks
-through the emitted artifacts.
+through the emitted artifacts. The directory is removed when the demo ends.
 """
 
 import json
@@ -46,8 +46,7 @@ def write_dataset(root: Path, seed: int = 3, n_bars: int = 900) -> None:
         "spring,2019-04-01,2019-05-15\nsummer,2019-05-16,2019-07-31\n")
 
 
-if __name__ == "__main__":
-    scratch = Path(tempfile.mkdtemp(prefix="herdscan_demo_"))
+def main(scratch: Path) -> None:
     write_dataset(scratch)
     print(f"dataset written under {scratch}")
 
@@ -76,3 +75,8 @@ if __name__ == "__main__":
     print(f"\nrun.json: schema {doc['schema_version']}, "
           f"config digest {doc['config']['digest'][:12]}..., "
           f"{len(doc['combined'])} sub-periods in the combined section")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory(prefix="herdscan_demo_") as tmp:
+        main(Path(tmp))

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -154,6 +154,17 @@ class RawSeries:
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
+
+    @cached_property
+    def _window(self) -> np.ndarray:
+        """``in_window`` of this series, read-only, computed on first use.
+
+        ``load_panel``'s provisional grid, ``align`` and the grid ``align``
+        builds all ask for it.
+        """
+        mask = in_window(self)
+        mask.flags.writeable = False
+        return mask
 
 
 class FillRecord(NamedTuple):
@@ -734,7 +745,7 @@ def shared_grid(series_list: Sequence[RawSeries]) -> np.ndarray:
     """Union of in-window timestamps present in at least ``GRID_QUORUM`` of assets."""
     if not series_list:
         raise EmptyGrid("no series")
-    masks = [in_window(s) for s in series_list]
+    masks = [s._window for s in series_list]
     stamps = np.empty(sum(int(np.count_nonzero(m)) for m in masks), dtype=np.int64)
     if not stamps.size:
         raise EmptyGrid("no in-window observations in any series")
@@ -764,7 +775,7 @@ def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta]) -> AlignedP
         raise ConfigError(f"no metadata for tickers: {sorted(missing_meta)}")
 
     ordered = sorted(accepted, key=lambda s: s.ticker)
-    masks = [in_window(s) for s in ordered]
+    masks = [s._window for s in ordered]
     for s, mask in zip(ordered, masks):
         if not mask.any():
             raise UnfillableAsset(s.ticker)

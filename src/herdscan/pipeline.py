@@ -1,13 +1,13 @@
 """End-to-end orchestration: load, analyze per vehicle and per community,
 and emit deterministic reports.
 
-Two analysis passes run over every configured sub-period plus the implicit
-"full" period. The per-vehicle pass fits the dispersion regressions on all
-assets of one vehicle class at a time. The combined pass clusters the full
-cross-vehicle panel (correlations, spanning tree, community detection) and
-fits the regressions inside each community, using the community's own mean
-return as the market return. One per-sub-period chain serves
-``run_combined``, ``run_analysis`` and ``community_structure``.
+One chain runs over every configured sub-period plus the implicit "full"
+period, for all four entry points (``run_analysis``, ``run_per_vehicle``,
+``run_combined``, ``community_structure``): slice the panel and take log
+returns once, fit the dispersion regressions on each vehicle class's
+assets, then cluster the whole cross-vehicle panel (correlations, spanning
+tree, community detection) and fit the regressions inside each community,
+with the community's own mean return as the market return.
 
 Sub-periods are independent work units. ``HERDSCAN_THREADS`` (default: the
 CPU count) caps the worker count, for the library and the CLI alike. Report
@@ -199,14 +199,7 @@ def full_subperiod(panel: AlignedPanel) -> SubPeriod:
     return SubPeriod(FULL_PERIOD, first, last)
 
 
-def _with_full_period(panel: AlignedPanel,
-                      subs: Sequence[SubPeriod]) -> list[SubPeriod]:
-    """The sub-periods plus the full period, each with report files of its own."""
-    _check_report_names(sub.name for sub in subs)
-    return [*subs, full_subperiod(panel)]
-
-
-# --- per-vehicle analysis -------------------------------------------------------
+# --- one pass per sub-period -------------------------------------------------------
 
 def _herding(cs: CsadSeries, *, hac: bool
              ) -> tuple[HerdingVerdict | None, str | None]:
@@ -222,6 +215,57 @@ def _herding(cs: CsadSeries, *, hac: bool
         return None, _SKIP_REASONS[type(exc)]
 
 
+def _vehicle_cells(assets: Sequence[AssetMeta], hac: bool,
+                   rp: ReturnPanel | None, sub_name: str) -> list[VehicleCell]:
+    """One cell per vehicle from a sub-period's returns (None: an empty slice)."""
+    cells = []
+    for vehicle in sorted({a.vehicle for a in assets}, key=lambda v: v.value):
+        idx = [i for i, a in enumerate(assets) if a.vehicle is vehicle]
+        if len(idx) < 2 or rp is None:
+            reason = "too_few_assets" if len(idx) < 2 else "empty_slice"
+            cells.append(VehicleCell(vehicle, sub_name, None, reason, len(idx), 0))
+            continue
+        # Gathered in slice_panel's Fortran order: csad sums 8 or more rows in
+        # a different order for each layout, and so moves the reports' last bits.
+        returns = rp.returns[idx].copy(order="F")
+        cs = csad(ReturnPanel([rp.assets[i] for i in idx], rp.grid, returns))
+        cells.append(VehicleCell(vehicle, sub_name, *_herding(cs, hac=hac),
+                                 len(idx), len(cs)))
+    return cells
+
+
+def _structure(louvain_weights: str, regress: Callable | None,
+               rp: ReturnPanel | None, sub_name: str) -> tuple:
+    """(spanning tree, partition, community reports) of a sub-period's returns."""
+    if rp is None:
+        return None, None, ()
+    tree = mst(to_distance(pearson_matrix(rp)))
+    partition = louvain(graph_from_tree(tree, louvain_weights))
+    reports = regress(rp, partition, sub_name) if regress else ()
+    return tree, partition, reports
+
+
+def _sub_pass(panel: AlignedPanel, subs: Sequence[SubPeriod],
+              vehicles: Callable | None, structure: Callable | None) -> list[tuple]:
+    """(name, vehicle cells, tree, partition, community reports) per sub-period.
+
+    Every sub-period, and the full period, is sliced and turned into log
+    returns once (the slice is freed then); the vehicle cells and then the
+    community structure are fitted from those returns.
+    """
+    def one(sub: SubPeriod) -> tuple:
+        try:
+            rp = log_returns(slice_panel(panel, sub))
+        except EmptySlice:
+            rp = None
+        cells = vehicles(rp, sub.name) if vehicles else []
+        return (sub.name, cells,
+                *(structure(rp, sub.name) if structure else (None, None, ())))
+
+    _check_report_names(sub.name for sub in subs)  # no two may share report files
+    return _map_units(one, [*subs, full_subperiod(panel)])
+
+
 def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                     hac: bool = False) -> dict[tuple[Vehicle, str], VehicleCell]:
     """Herding verdicts per (vehicle, sub-period), plus the full period.
@@ -230,37 +274,11 @@ def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
     assets gets ``too_few_assets`` cells. To analyze one vehicle, restrict
     the panel to its assets first.
     """
-    by_vehicle: dict[Vehicle, list[str]] = {}
-    for a in panel.assets:
-        by_vehicle.setdefault(a.vehicle, []).append(a.ticker)
-    vehicles = sorted(by_vehicle, key=lambda v: v.value)
-
-    all_subs = _with_full_period(panel, subs)
-    # Each vehicle is restricted once; its sub-periods slice that panel.
-    vehicle_panels = {v: panel.restrict(by_vehicle[v]) for v in vehicles
-                      if len(by_vehicle[v]) >= 2}
-
-    def one(unit: tuple[Vehicle, SubPeriod]) -> VehicleCell:
-        vehicle, sub = unit
-        n_assets = len(by_vehicle[vehicle])
-        vehicle_panel = vehicle_panels.get(vehicle)
-        if vehicle_panel is None:
-            return VehicleCell(vehicle, sub.name, None, "too_few_assets",
-                               n_assets, 0)
-        try:
-            sub_panel = slice_panel(vehicle_panel, sub)
-        except EmptySlice:
-            return VehicleCell(vehicle, sub.name, None, "empty_slice", n_assets, 0)
-        cs = csad(log_returns(sub_panel))
-        v, reason = _herding(cs, hac=hac)
-        return VehicleCell(vehicle, sub.name, v, reason, n_assets, len(cs))
-
-    units = [(v, sub) for v in vehicles for sub in all_subs]
-    cells = _map_units(one, units)
-    return {(c.vehicle, c.sub_period): c for c in cells}
+    results = _sub_pass(panel, subs, partial(_vehicle_cells, panel.assets, hac), None)
+    return {(c.vehicle, c.sub_period): c for _, cells, *_ in results for c in cells}
 
 
-# --- combined analysis -----------------------------------------------------------
+# --- communities ------------------------------------------------------------------
 
 def sector_distribution(members: Sequence[AssetMeta]) -> dict[Sector, float]:
     """Fraction of each sector among the members; fractions sum to 1."""
@@ -272,20 +290,6 @@ def sector_distribution(members: Sequence[AssetMeta]) -> dict[Sector, float]:
     total = len(members)
     return {sector: counts[sector] / total
             for sector in sorted(counts, key=lambda s: s.value)}
-
-
-def _sub_structure(panel: AlignedPanel, louvain_weights: str,
-                   regress: Callable | None, sub: SubPeriod):
-    """(name, spanning tree, partition, community reports) of one sub-period."""
-    try:
-        sub_panel = slice_panel(panel, sub)
-    except EmptySlice:
-        return sub.name, None, None, ()
-    rp = log_returns(sub_panel)
-    tree = mst(to_distance(pearson_matrix(rp)))
-    partition = louvain(graph_from_tree(tree, louvain_weights))
-    reports = regress(rp, partition, sub.name) if regress else ()
-    return sub.name, tree, partition, reports
 
 
 def _community_reports(rp: ReturnPanel, partition: Partition, sub_name: str, *,
@@ -320,13 +324,6 @@ def _check_weighting(louvain_weights: str) -> None:
                           f" got {louvain_weights!r}")
 
 
-def _combined(panel: AlignedPanel, subs: Sequence[SubPeriod], louvain_weights: str,
-              regress: Callable | None = None) -> list[tuple]:
-    """``_sub_structure`` of every sub-period and the full period."""
-    one = partial(_sub_structure, panel, louvain_weights, regress)
-    return _map_units(one, _with_full_period(panel, subs))
-
-
 def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  min_community_size: int = DEFAULT_MIN_COMMUNITY_SIZE,
                  louvain_weights: str = "unit", hac: bool = False,
@@ -336,8 +333,8 @@ def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
     regress = _regressions(min_community_size, hac)
     if len(panel.assets) < 3:
         raise DataError("combined analysis needs at least 3 assets")
-    return {name: reports for name, _, _, reports
-            in _combined(panel, subs, louvain_weights, regress)}
+    return {name: reports for name, _, _, _, reports in _sub_pass(
+        panel, subs, None, partial(_structure, louvain_weights, regress))}
 
 
 def community_structure(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
@@ -345,8 +342,8 @@ def community_structure(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                         ) -> dict[str, tuple[SpanningTree | None, Partition | None]]:
     """Spanning tree and partition only (no regressions) per sub-period."""
     _check_weighting(louvain_weights)
-    return {name: (tree, partition) for name, tree, partition, _
-            in _combined(panel, subs, louvain_weights)}
+    return {name: (tree, partition) for name, _, tree, partition, _ in _sub_pass(
+        panel, subs, None, partial(_structure, louvain_weights, None))}
 
 
 # --- betas ------------------------------------------------------------------------
@@ -384,7 +381,8 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  beta_proxy: str | None = None,
                  hac: bool = False,
                  config_extra: Mapping | None = None) -> AnalysisRun:
-    """Run both analysis passes plus beta reports and collect timings.
+    """Fit the vehicles and the communities in one pass over the sub-periods,
+    add the beta reports and collect timings.
 
     Every vehicle in the panel is analyzed (``"vehicles": "all"`` in the
     config); ``min_obs`` and ``min_regime`` record the econometrics floors.
@@ -414,18 +412,17 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
 
     timings: dict[str, float] = {}
     t0 = time_mod.perf_counter()
-    per_vehicle = run_per_vehicle(panel, subs, hac=hac)
-    timings["per_vehicle"] = time_mod.perf_counter() - t0
+    results = _sub_pass(panel, subs, partial(_vehicle_cells, panel.assets, hac),
+                        partial(_structure, louvain_weights, regress))
+    per_vehicle = {(c.vehicle, c.sub_period): c for _, cells, *_ in results
+                   for c in cells}
+    combined = {name: reports for name, _, _, _, reports in results}
+    trees = {name: tree for name, _, tree, _, _ in results}
+    timings["subperiods"] = time_mod.perf_counter() - t0
 
     t1 = time_mod.perf_counter()
-    results = _combined(panel, subs, louvain_weights, regress)
-    combined = {name: reports for name, _, _, reports in results}
-    trees = {name: tree for name, tree, _, _ in results}
-    timings["combined"] = time_mod.perf_counter() - t1
-
-    t2 = time_mod.perf_counter()
     beta_reports = compute_beta_reports(panel, proxy=beta_proxy)
-    timings["betas"] = time_mod.perf_counter() - t2
+    timings["betas"] = time_mod.perf_counter() - t1
     timings["total"] = time_mod.perf_counter() - t0
 
     return AnalysisRun(

@@ -88,7 +88,9 @@ def csad(rp: ReturnPanel) -> CsadSeries:
     if len(rp.assets) < 2:
         raise DataError("csad needs at least 2 assets")
     market = rp.returns.mean(axis=0)
-    dispersion = np.abs(rp.returns - market).mean(axis=0)
+    dev = rp.returns - market
+    np.abs(dev, out=dev)  # in place: one temporary the panel's size, not two
+    dispersion = dev.mean(axis=0)
     return CsadSeries(grid=rp.grid, market_return=market, csad=dispersion)
 
 

@@ -11,15 +11,8 @@ import numpy as np
 import pytest
 
 import herdscan
-from herdscan import pipeline
-from herdscan.econometrics import fit_csad_basic, fit_csad_updown, verdict
-from herdscan.errors import (
-    ConfigError,
-    DataError,
-    EmptyCommunity,
-    EmptySlice,
-    OneSidedSample,
-)
+from herdscan import ingest, pipeline
+from herdscan.errors import ConfigError, DataError, EmptyCommunity
 from herdscan.ingest import AlignedPanel, AssetMeta, Sector, SubPeriod, Vehicle, slice_panel
 from herdscan.pipeline import (
     community_structure,
@@ -118,9 +111,13 @@ class TestRunPerVehicle:
         cells = run_per_vehicle(panel, [])
         assert {v for v, _ in cells} == {Vehicle.STOCK}
 
-    def test_one_restrict_per_vehicle(self, monkeypatch):
-        metas = ([stock_meta(f"S{i}") for i in range(4)]
-                 + [etf(f"E{i}") for i in range(3)]
+    @pytest.mark.parametrize("hac", [False, True])
+    def test_one_slice_per_subperiod_and_no_restrict(self, hac, monkeypatch):
+        # 9 assets per vehicle: below 8 rows numpy sums a C- and a
+        # Fortran-ordered gather in the same order, so the cells would not
+        # show which layout the vehicle rows were gathered in
+        metas = ([stock_meta(f"S{i}") for i in range(9)]
+                 + [etf(f"E{i}") for i in range(9)]
                  + [AssetMeta("C0", Vehicle.CRYPTO, Sector.CRYPTO)])
         panel = random_walk_panel(5, len(metas), 600, metas=metas)
         first, last = (d.item() for d in panel.grid[[0, -1]].astype("datetime64[D]"))
@@ -129,39 +126,38 @@ class TestRunPerVehicle:
                 SubPeriod("late", mid + timedelta(days=1), last),
                 SubPeriod("empty", date(2030, 1, 1), date(2030, 1, 2))]
         restrict = AlignedPanel.restrict
-        calls = []
+        slices, restricts = [], []
+
+        def counting_slice(panel, sub):
+            slices.append(sub.name)
+            return slice_panel(panel, sub)
 
         def counting_restrict(self, tickers):
-            calls.append(tuple(tickers))
+            restricts.append(tuple(tickers))
             return restrict(self, tickers)
 
+        monkeypatch.setattr(pipeline, "slice_panel", counting_slice)
         monkeypatch.setattr(AlignedPanel, "restrict", counting_restrict)
         monkeypatch.setenv("HERDSCAN_THREADS", "2")
-        cells = run_per_vehicle(panel, subs)
-        assert sorted(calls) == [("E0", "E1", "E2"), ("S0", "S1", "S2", "S3")]
-        assert len(cells) == 3 * (len(subs) + 1)
+        run = run_analysis(panel, subs, hac=hac)
+        assert sorted(slices) == ["early", "empty", "full", "late"]
+        assert restricts == []
+        assert len(run.per_vehicle) == 3 * (len(subs) + 1)
 
-        # Reference: restrict the panel for every (vehicle, sub-period) unit.
-        for (vehicle, sub_name), cell in cells.items():
+        # Reference: restrict, slice and take returns per (vehicle, sub-period).
+        for (vehicle, sub_name), cell in run.per_vehicle.items():
             tickers = [a.ticker for a in panel.assets if a.vehicle is vehicle]
             sub = next((s for s in subs if s.name == sub_name),
                        full_subperiod(panel))
-            assert cell.n_assets == len(tickers)
             if vehicle is Vehicle.CRYPTO:
-                assert (cell.skipped_reason, cell.n_obs) == ("too_few_assets", 0)
-                continue
-            try:
+                expected = (None, "too_few_assets", 1, 0)
+            elif sub_name == "empty":
+                expected = (None, "empty_slice", 9, 0)
+            else:
                 cs = csad(log_returns(slice_panel(restrict(panel, tickers), sub)))
-            except EmptySlice:
-                assert sub_name == "empty"
-                assert (cell.skipped_reason, cell.n_obs) == ("empty_slice", 0)
-                continue
-            try:
-                fit5 = fit_csad_updown(cs)
-            except OneSidedSample:
-                fit5 = None
-            assert cell.skipped_reason is None and cell.n_obs == len(cs)
-            assert cell.verdict == verdict(fit_csad_basic(cs), fit5)
+                expected = (*pipeline._herding(cs, hac=hac), 9, len(cs))
+            # repr tells every float bit apart (-0.0 and NaN too)
+            assert repr(cell) == repr(pipeline.VehicleCell(vehicle, sub_name, *expected))
 
 
 class TestRunCombined:
@@ -478,19 +474,41 @@ class TestEmitReport:
             emit_report(small_run, blocker / "out")
 
 
+def write_bar_files(panel, directory, extra_rows=()):
+    for i, ticker in enumerate(panel.tickers):
+        rows = [f"{str(t).replace('T', ' ')[:16]},{p:.8f}"
+                for t, p in zip(panel.grid, panel.prices[i])]
+        (directory / f"{ticker}.csv").write_text("\n".join([*rows, *extra_rows]) + "\n")
+
+
 class TestLoadPanel:
     def test_roundtrip_from_csv_dir(self, tmp_path):
         panel0 = random_walk_panel(6, 3, 60)
-        for i, ticker in enumerate(panel0.tickers):
-            rows = [f"{str(t).replace('T', ' ')[:16]},{p:.8f}"
-                    for t, p in zip(panel0.grid, panel0.prices[i])]
-            (tmp_path / f"{ticker}.csv").write_text("\n".join(rows) + "\n")
+        write_bar_files(panel0, tmp_path)
         sector_map = {t: stock_meta(t) for t in panel0.tickers}
         panel, decisions = load_panel(tmp_path, sector_map)
         assert panel.tickers == panel0.tickers
         assert panel.grid.tolist() == panel0.grid.tolist()
         np.testing.assert_allclose(panel.prices, panel0.prices, rtol=1e-7)
         assert all(d.accepted for d in decisions.values())
+
+    def test_window_mask_computed_once_per_series(self, tmp_path, monkeypatch):
+        panel0 = random_walk_panel(7, 4, 80)
+        write_bar_files(panel0, tmp_path, ["2019-12-31 20:00,1.0"])  # after hours
+        sector_map = {t: stock_meta(t) for t in panel0.tickers}
+        in_window = ingest.in_window
+        calls = []
+
+        def counting_in_window(series):
+            calls.append(series.ticker)
+            return in_window(series)
+
+        monkeypatch.setattr(ingest, "in_window", counting_in_window)
+        panel, decisions = load_panel(tmp_path, sector_map)
+        assert sorted(calls) == sorted(panel0.tickers)
+        assert panel.tickers == panel0.tickers
+        assert panel.grid.tolist() == panel0.grid.tolist()
+        assert not panel.fills.any() and all(d.accepted for d in decisions.values())
 
     def test_unmapped_ticker_is_config_error(self, tmp_path):
         (tmp_path / "zzz.csv").write_text("2019-04-01 09:30,1.0\n")
@@ -534,8 +552,8 @@ class TestThreadCap:
             monkeypatch.setenv("HERDSCAN_THREADS", threads)
             runs[threads] = run_analysis(panel, [event, calm])
             emit_report(runs[threads], tmp_path / threads)
-            # one pool each for the per-vehicle and the combined pass
-            assert len(pools) == (0 if threads == "1" else 2)
+            # one pool per run, over the sub-periods
+            assert len(pools) == (0 if threads == "1" else 1)
         assert runs["1"].per_vehicle == runs["2"].per_vehicle
         one, two = tmp_path / "1", tmp_path / "2"
         files = sorted(p.name for p in one.iterdir())

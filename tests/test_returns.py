@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from herdscan.errors import DataError
 from herdscan.ingest import AlignedPanel
-from herdscan.returns import CsadSeries, csad, log_returns, up_down_masks
+from herdscan.returns import CsadSeries, ReturnPanel, csad, log_returns, up_down_masks
 
 from generators import csad_series, intraday_grid, panel_from_returns, stock_meta
 
@@ -77,11 +77,24 @@ class TestCsad:
 
     def test_needs_two_assets(self):
         grid = intraday_grid(4)
-        from herdscan.returns import ReturnPanel
         rp = ReturnPanel(assets=(stock_meta("A"),), grid=grid,
                          returns=np.zeros((1, 4)))
         with pytest.raises(DataError):
             csad(rp)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_returns_left_unchanged(self, order):
+        # csad takes the absolute deviation in place, in its own temporary
+        rng = np.random.default_rng(21)
+        returns = np.array(rng.normal(0, 0.02, (9, 50)), order=order)
+        rp = ReturnPanel(assets=tuple(stock_meta(f"S{i}") for i in range(9)),
+                         grid=intraday_grid(50), returns=returns)
+        before = rp.returns.copy(order="K")
+        series = csad(rp)
+        assert rp.returns is returns
+        np.testing.assert_array_equal(rp.returns, before)
+        expected = np.abs(before - before.mean(axis=0)).mean(axis=0)
+        np.testing.assert_array_equal(series.csad, expected)
 
     def test_triangle_bound(self):
         rng = np.random.default_rng(9)
