@@ -9,20 +9,25 @@ assignment g is
 
 computed per community as in_c/(2m) - (tot_c/(2m))^2 where in_c sums
 A[i][j] over ordered member pairs (self-loops included) and tot_c sums
-member degrees.
+member degrees. A graph computes its degrees and m once and caches them,
+and one pass (``_community_sums``) builds the per-community sums for both
+``modularity`` and the local-move state.
 
 The algorithm alternates a local-move phase (each node greedily joins the
 neighboring community with the largest positive modularity gain) with an
 aggregation phase that collapses every community into one node. Community
 self-loops carry twice the internal edge weight plus member self-loops,
-which keeps both m and Q invariant across aggregation. All sweeps follow
-a fixed node order and ties break toward the lowest community id, so a
-run is reproducible.
+which keeps both m and Q invariant across aggregation. Each node visit in
+a local-move sweep scans the node's neighbors once; those link weights per
+community serve the removal, every candidate gain and the insertion. All
+sweeps follow a fixed node order and ties break toward the lowest
+community id, so a run is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DataError, UncoveredNode
@@ -73,10 +78,13 @@ class WeightedGraph:
             raise DataError("graph total weight m must be positive")
         return g
 
-    def degree(self, node: Node) -> float:
-        return sum(w for _, w in self.adjacency[node]) + self.self_loops[node]
+    @cached_property
+    def degrees(self) -> dict[Node, float]:
+        """Row sums: each node's edge weights plus its self-loop once."""
+        return {n: sum(w for _, w in self.adjacency[n]) + self.self_loops[n]
+                for n in self.nodes}
 
-    @property
+    @cached_property
     def total_weight(self) -> float:
         """m: half the sum of all degrees (self-loops counted once)."""
         edge_sum = sum(w for n in self.nodes for _, w in self.adjacency[n]) / 2.0
@@ -122,23 +130,29 @@ def singleton_assignment(g: WeightedGraph,
     return {node: i for i, node in enumerate(order)}
 
 
-def modularity(g: WeightedGraph, assignment: Mapping[Node, int]) -> float:
-    """Evaluate Q for an assignment covering every node."""
+def _community_sums(g: WeightedGraph, assignment: Mapping[Node, int]
+                    ) -> tuple[dict[int, float], dict[int, float]]:
+    """Per community: internal ordered-pair weight and member degree sum."""
     for node in g.nodes:
         if node not in assignment:
             raise UncoveredNode(node)
-    two_m = 2.0 * g.total_weight
     internal: dict[int, float] = {}
     degree_sum: dict[int, float] = {}
     for node in g.nodes:
         cid = assignment[node]
-        k = g.degree(node)
-        degree_sum[cid] = degree_sum.get(cid, 0.0) + k
+        degree_sum[cid] = degree_sum.get(cid, 0.0) + g.degrees[node]
         inside = g.self_loops[node]
         for nbr, w in g.adjacency[node]:
             if assignment[nbr] == cid:
                 inside += w
         internal[cid] = internal.get(cid, 0.0) + inside
+    return internal, degree_sum
+
+
+def modularity(g: WeightedGraph, assignment: Mapping[Node, int]) -> float:
+    """Evaluate Q for an assignment covering every node."""
+    two_m = 2.0 * g.total_weight
+    internal, degree_sum = _community_sums(g, assignment)
     return sum(internal[c] / two_m - (degree_sum[c] / two_m) ** 2
                for c in internal)
 
@@ -146,88 +160,72 @@ def modularity(g: WeightedGraph, assignment: Mapping[Node, int]) -> float:
 class LouvainState:
     """Incremental per-community sums used by the local-move phase.
 
-    Tracks sigma_in (ordered-pair internal weight), sigma_tot (member
-    degree sum) per community, plus node degrees. A node must be isolated
-    with :meth:`remove` before gains toward target communities are
-    evaluated.
+    Tracks sigma_in (ordered-pair internal weight) and sigma_tot (member
+    degree sum) per community. A node must be isolated with :meth:`remove`
+    before gains toward target communities are evaluated. ``remove`` and
+    ``insert`` take the node's :meth:`neighbor_weights`, read before the
+    removal.
     """
 
     def __init__(self, g: WeightedGraph, assignment: Mapping[Node, int]):
         self.g = g
         self.m = g.total_weight
-        self.community_of: dict[Node, int | None] = {}
-        self.degree = {n: g.degree(n) for n in g.nodes}
-        self.sigma_tot: dict[int, float] = {}
-        self.sigma_in: dict[int, float] = {}
-        for node in g.nodes:
-            if node not in assignment:
-                raise UncoveredNode(node)
-        for node in g.nodes:
-            cid = assignment[node]
-            self.community_of[node] = cid
-            self.sigma_tot[cid] = self.sigma_tot.get(cid, 0.0) + self.degree[node]
-            inside = g.self_loops[node]
-            for nbr, w in g.adjacency[node]:
-                if assignment[nbr] == cid:
-                    inside += w
-            self.sigma_in[cid] = self.sigma_in.get(cid, 0.0) + inside
+        self.sigma_in, self.sigma_tot = _community_sums(g, assignment)
+        self.community_of: dict[Node, int | None] = {
+            n: assignment[n] for n in g.nodes}
 
     def neighbor_weights(self, node: Node) -> dict[int, float]:
-        """Total link weight from ``node`` into each community."""
+        """Total link weight from ``node`` into each community.
+
+        Read it while no node is isolated.
+        """
         out: dict[int, float] = {}
         for nbr, w in self.g.adjacency[node]:
             cid = self.community_of[nbr]
-            if cid is not None:
-                out[cid] = out.get(cid, 0.0) + w
+            out[cid] = out.get(cid, 0.0) + w
         return out
 
-    def weight_to(self, node: Node, community: int) -> float:
-        return sum(w for nbr, w in self.g.adjacency[node]
-                   if self.community_of[nbr] == community)
-
-    def remove(self, node: Node) -> int:
+    def remove(self, node: Node, weights: Mapping[int, float]) -> int:
         """Isolate ``node`` from its community; returns the old community id."""
         cid = self.community_of[node]
         if cid is None:
             raise DataError(f"node {node!r} already isolated")
-        k_in = self.weight_to(node, cid)
-        self.sigma_tot[cid] -= self.degree[node]
-        self.sigma_in[cid] -= 2.0 * k_in + self.g.self_loops[node]
+        self.sigma_tot[cid] -= self.g.degrees[node]
+        self.sigma_in[cid] -= 2.0 * weights.get(cid, 0.0) + self.g.self_loops[node]
         self.community_of[node] = None
         return cid
 
-    def insert(self, node: Node, community: int) -> None:
-        k_in = self.weight_to(node, community)
+    def insert(self, node: Node, community: int,
+               weights: Mapping[int, float]) -> None:
         self.sigma_tot[community] = (self.sigma_tot.get(community, 0.0)
-                                     + self.degree[node])
+                                     + self.g.degrees[node])
         self.sigma_in[community] = (self.sigma_in.get(community, 0.0)
-                                    + 2.0 * k_in + self.g.self_loops[node])
+                                    + 2.0 * weights.get(community, 0.0)
+                                    + self.g.self_loops[node])
         self.community_of[node] = community
 
 
 def delta_q(node: Node, target_community: int, state: LouvainState, *,
-            k_in: float | None = None) -> float:
+            k_in: float) -> float:
     """Modularity gain from inserting an isolated node into a community.
 
-    The node must currently be isolated in ``state``. The value equals the
-    exact difference in Q between the post-insert and the isolated
-    configuration.
+    The node must currently be isolated in ``state``; ``k_in`` is its link
+    weight into the target. The value equals the exact difference in Q
+    between the post-insert and the isolated configuration.
     """
     if state.community_of[node] is not None:
         raise DataError(f"node {node!r} must be isolated before delta_q")
     two_m = 2.0 * state.m
     sig_in = state.sigma_in.get(target_community, 0.0)
     sig_tot = state.sigma_tot.get(target_community, 0.0)
-    k_i = state.degree[node]
-    if k_in is None:
-        k_in = state.weight_to(node, target_community)
+    k_i = state.g.degrees[node]
     joined = (sig_in + 2.0 * k_in) / two_m - ((sig_tot + k_i) / two_m) ** 2
     apart = sig_in / two_m - (sig_tot / two_m) ** 2 - (k_i / two_m) ** 2
     return joined - apart
 
 
 def local_move_phase(g: WeightedGraph,
-                     initial: Mapping[Node, int] | Partition | None = None,
+                     initial: Mapping[Node, int] | None = None,
                      *, order: Sequence[Node] | None = None) -> Partition:
     """Sweep nodes in fixed order, greedily re-homing each one.
 
@@ -238,18 +236,14 @@ def local_move_phase(g: WeightedGraph,
     """
     order = list(order) if order is not None else _default_order(g)
     if initial is None:
-        assignment: Mapping[Node, int] = singleton_assignment(g, order)
-    elif isinstance(initial, Partition):
-        assignment = initial.assignment
-    else:
-        assignment = initial
-    state = LouvainState(g, assignment)
+        initial = singleton_assignment(g, order)
+    state = LouvainState(g, initial)
 
     while True:
         moved = False
         for node in order:
-            current = state.remove(node)
             weights = state.neighbor_weights(node)
+            current = state.remove(node, weights)
             best_cid = current
             best_gain = delta_q(node, current, state,
                                 k_in=weights.get(current, 0.0))
@@ -259,7 +253,7 @@ def local_move_phase(g: WeightedGraph,
                 gain = delta_q(node, cid, state, k_in=weights[cid])
                 if gain > best_gain + GAIN_TOL:
                     best_cid, best_gain = cid, gain
-            state.insert(node, best_cid)
+            state.insert(node, best_cid, weights)
             if best_cid != current:
                 moved = True
         if not moved:

@@ -206,6 +206,10 @@ class AlignedPanel:
         object.__setattr__(self, "assets", tuple(self.assets))
         if len(self.assets) < 2:
             raise DataError("panel needs at least 2 assets")
+        tickers = [a.ticker for a in self.assets]
+        if len(set(tickers)) != len(tickers):
+            dupes = sorted({t for t in tickers if tickers.count(t) > 1})
+            raise DataError(f"duplicate tickers in panel: {dupes}")
         if grid.size < 3:
             raise DataError("panel needs at least 3 timestamps")
         if grid.size > 1 and not (np.diff(grid.astype("int64")) > 0).all():

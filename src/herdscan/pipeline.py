@@ -168,17 +168,24 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
     loaded series; the final grid is rebuilt from the accepted ones. The
     trading hours, the grid quorum and the missing-data limits are
     ``ingest`` constants. The returned decisions include rejected tickers.
+    Two files naming one ticker (``aaa.csv`` and ``AAA.csv``) are a
+    DataError, raised before any file is parsed.
     """
     data_dir = Path(data_dir)
     files = sorted(data_dir.glob("*.csv"))
     if not files:
         raise DataError(f"no CSV files in {data_dir}")
-    unmapped = sorted(p.stem.upper() for p in files
-                      if p.stem.upper() not in sector_map)
+    named: dict[str, Path] = {}
+    for p in files:
+        first = named.setdefault(p.stem.upper(), p)
+        if first is not p:
+            raise DataError(f"{first.name} and {p.name} both name ticker "
+                            f"{p.stem.upper()}")
+    unmapped = sorted(t for t in named if t not in sector_map)
     if unmapped:
         raise ConfigError(f"tickers missing from the sector map: {unmapped}")
 
-    series = [load_bars(p, p.stem.upper(), tz=tz) for p in files]
+    series = [load_bars(p, ticker, tz=tz) for ticker, p in named.items()]
     grid = shared_grid(series)
     decisions: dict[str, FilterDecision] = {}
     accepted = []
@@ -324,6 +331,12 @@ def _check_weighting(louvain_weights: str) -> None:
                           f" got {louvain_weights!r}")
 
 
+def _check_proxy(panel: AlignedPanel, proxy: str | None) -> None:
+    """ConfigError unless ``proxy`` is None or a ticker of the panel."""
+    if proxy is not None and proxy not in panel.tickers:
+        raise ConfigError(f"beta proxy {proxy!r} not in the panel")
+
+
 def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  min_community_size: int = DEFAULT_MIN_COMMUNITY_SIZE,
                  louvain_weights: str = "unit", hac: bool = False,
@@ -354,10 +367,9 @@ EQUAL_WEIGHT_PROXY = "equal-weight market"
 def compute_beta_reports(panel: AlignedPanel, *,
                          proxy: str | None = None) -> dict[Vehicle, BetaReport]:
     """CAPM betas per vehicle over the full period, vs one chosen proxy."""
+    _check_proxy(panel, proxy)
     rp = log_returns(panel)
     if proxy is not None:
-        if proxy not in rp.tickers:
-            raise ConfigError(f"beta proxy {proxy!r} not in the panel")
         proxy_returns = rp.row(proxy)
         label = proxy
     else:
@@ -388,6 +400,7 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
     config); ``min_obs`` and ``min_regime`` record the econometrics floors.
     """
     _check_weighting(louvain_weights)
+    _check_proxy(panel, beta_proxy)
     regress = _regressions(min_community_size, hac)
     config = {
         "schema_version": SCHEMA_VERSION,

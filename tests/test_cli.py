@@ -83,6 +83,13 @@ class TestAnalyze:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_beta_proxy_outside_vehicle_is_config_error(self, data_dir, tmp_path):
+        code = main(["analyze", "--data-dir", str(data_dir["bars"]),
+                     "--sectors", str(data_dir["sectors"]),
+                     "--vehicle", "crypto", "--beta-proxy", "E00",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+
     def test_beta_proxy_ignores_case(self, data_dir, tmp_path):
         # tickers are upper-cased file stems, so the flag is upper-cased too
         for proxy in ("e00", "E00"):
@@ -120,6 +127,21 @@ class TestAnalyze:
         if command == "analyze":
             args += ["--sectors", str(sectors)]
         assert main(args) == 3
+
+    @pytest.mark.parametrize("command", ["analyze", "communities", "csad"])
+    def test_two_files_for_one_ticker_are_data_error(self, data_dir, tmp_path,
+                                                     capsys, command):
+        bars = tmp_path / "bars"
+        bars.mkdir()
+        for path in data_dir["bars"].glob("*.csv"):
+            (bars / path.name).write_bytes(path.read_bytes())
+        (bars / "e00.csv").write_bytes((bars / "E00.csv").read_bytes())
+        args = [command, "--data-dir", str(bars), "--out", str(tmp_path / "out")]
+        if command == "analyze":
+            args += ["--sectors", str(data_dir["sectors"])]
+        assert main(args) == 3
+        assert "E00.csv and e00.csv both name ticker E00" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_thread_env_respected(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("HERDSCAN_THREADS", "1")

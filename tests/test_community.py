@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,10 +19,11 @@ from herdscan.community import (
     singleton_assignment,
 )
 from herdscan.errors import DataError, UncoveredNode
-from herdscan.graph import SpanningTree, TreeEdge
+from herdscan.graph import SpanningTree, TreeEdge, mst, pearson_matrix, to_distance
+from herdscan.returns import log_returns
 
 from oracles import best_partition, modularity_of_labels
-from generators import clique_block_graph
+from generators import clique_block_graph, random_walk_panel
 
 # --- fixtures ---------------------------------------------------------------
 
@@ -149,26 +153,30 @@ class TestDeltaQ:
         g = barbell()
         assignment = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
         state = LouvainState(g, assignment)
-        state.remove(4)
-        assert delta_q(4, 1, state) > 0  # rejoin its triangle
+        weights = state.neighbor_weights(4)
+        state.remove(4, weights)
+        assert delta_q(4, 1, state, k_in=weights[1]) > 0  # rejoin its triangle
 
     def test_no_edges_into_target_negative(self):
         g = two_triangles()
         assignment = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
         state = LouvainState(g, assignment)
-        state.remove(0)
-        assert delta_q(0, 1, state) < 0  # no links into the other triangle
+        weights = state.neighbor_weights(0)
+        state.remove(0, weights)
+        assert 1 not in weights  # no links into the other triangle
+        assert delta_q(0, 1, state, k_in=0.0) < 0
 
     def test_barbell_cross_move_negative(self):
         g = barbell()
         assignment = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
         for node in (2, 3):
             state = LouvainState(g, assignment)
-            state.remove(node)
+            weights = state.neighbor_weights(node)
+            state.remove(node, weights)
             own = assignment[node]
             other = 1 - own
-            gain_stay = delta_q(node, own, state)
-            gain_cross = delta_q(node, other, state)
+            gain_stay = delta_q(node, own, state, k_in=weights[own])
+            gain_cross = delta_q(node, other, state, k_in=weights[other])
             assert gain_cross < gain_stay
 
     def test_consistency_with_full_recomputation(self):
@@ -182,11 +190,13 @@ class TestDeltaQ:
             fresh = max(assignment.values()) + 1
 
             state = LouvainState(g, assignment)
-            state.remove(node)
+            weights = state.neighbor_weights(node)
+            state.remove(node, weights)
             iso = {**assignment, node: fresh}
             q_iso = modularity(g, iso)
             for target in set(assignment.values()):
-                gain = delta_q(node, target, state)
+                gain = delta_q(node, target, state,
+                               k_in=weights.get(target, 0.0))
                 q_after = modularity(g, {**assignment, node: target})
                 assert gain == pytest.approx(q_after - q_iso, abs=1e-9)
 
@@ -195,16 +205,48 @@ class TestDeltaQ:
         g = WeightedGraph.from_edges(
             range(3), [(0, 1, 1.0), (1, 2, 2.0)], self_loops={0: 6.0, 1: 4.0})
         assignment = {0: 0, 1: 0, 2: 1}
-        state = LouvainState(g, assignment)
-        state.remove(2)
         iso = {0: 0, 1: 0, 2: 2}
         q_iso = modularity(g, iso)
         for target in (0, 1):
-            state2 = LouvainState(g, assignment)
-            state2.remove(2)
-            gain = delta_q(2, target, state2)
+            state = LouvainState(g, assignment)
+            weights = state.neighbor_weights(2)
+            state.remove(2, weights)
+            gain = delta_q(2, target, state, k_in=weights.get(target, 0.0))
             q_after = modularity(g, {0: 0, 1: 0, 2: target})
             assert gain == pytest.approx(q_after - q_iso, abs=1e-12)
+
+    def test_remove_then_insert_restores_sums(self):
+        rng = np.random.default_rng(7)
+        g = random_connected_graph(rng, 8, weighted=True)
+        assignment = {i: i % 3 for i in range(8)}
+        state = LouvainState(g, assignment)
+        before = (dict(state.sigma_in), dict(state.sigma_tot))
+        for node in g.nodes:
+            weights = state.neighbor_weights(node)
+            cid = state.remove(node, weights)
+            state.insert(node, cid, weights)
+            assert state.community_of[node] == cid
+            for c in before[0]:
+                assert state.sigma_in[c] == pytest.approx(before[0][c], abs=1e-12)
+                assert state.sigma_tot[c] == pytest.approx(before[1][c], abs=1e-12)
+
+    def test_remove_twice_rejected(self):
+        g = barbell()
+        state = LouvainState(g, {i: i // 3 for i in range(6)})
+        weights = state.neighbor_weights(2)
+        state.remove(2, weights)
+        with pytest.raises(DataError):
+            state.remove(2, weights)
+
+    def test_delta_q_needs_isolated_node(self):
+        g = barbell()
+        state = LouvainState(g, {i: i // 3 for i in range(6)})
+        with pytest.raises(DataError):
+            delta_q(2, 1, state, k_in=1.0)
+
+    def test_uncovered_node(self):
+        with pytest.raises(UncoveredNode):
+            LouvainState(barbell(), {i: 0 for i in range(5)})
 
 
 # --- local move phase ----------------------------------------------------------------
@@ -407,3 +449,83 @@ class TestGraphConstruction:
     def test_negative_weight_rejected(self):
         with pytest.raises(DataError):
             WeightedGraph.from_edges(range(2), [(0, 1, -1.0)])
+
+    def test_degrees_and_m_computed_once(self):
+        g = graph(4, [(0, 1), (1, 2), (2, 3)], self_loops={3: 2.0})
+        assert g.degrees == {0: 1.0, 1: 2.0, 2: 2.0, 3: 3.0}
+        assert g.degrees is g.degrees
+        assert g.total_weight == 4.0
+        assert "total_weight" in vars(g)  # cached on the instance
+
+
+# --- golden values and a differential check ----------------------------------------
+#
+# tests/data/louvain_golden.json holds minimum spanning trees of
+# random_walk_panel(seed, n_assets, n_bars), with every distance as
+# float.hex, and the Q (float.hex) and communities (node indices) that
+# louvain gave on them under both weightings, plus Q and communities on
+# clique_block_graph(default_rng(clique_seed)) draws. The trees are stored,
+# not rebuilt, so the values test Louvain alone: correlations may differ
+# in the last bit on another BLAS. The values were recorded under
+# Python 3.11, whose float sum() adds left to right.
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "louvain_golden.json").read_text())
+WEIGHTINGS = ("unit", "similarity")
+
+
+def golden_tree(case):
+    nodes = tuple(f"S{i:03d}" for i in range(case["n_assets"]))
+    edges = tuple(TreeEdge(nodes[a], nodes[b], float.fromhex(w))
+                  for a, b, w in case["edges"])
+    return SpanningTree(nodes=nodes, edges=edges,
+                        total_weight=sum(e.weight for e in edges))
+
+
+def mst_cases():
+    return [pytest.param(case, weighting, id=f"n{case['n_assets']}-{weighting}")
+            for case in GOLDEN["mst"] for weighting in WEIGHTINGS]
+
+
+class TestLouvainGolden:
+    @pytest.mark.parametrize("case", GOLDEN["mst"],
+                             ids=lambda c: f"n{c['n_assets']}")
+    def test_trees_are_the_generated_msts(self, case):
+        panel = random_walk_panel(case["seed"], case["n_assets"], GOLDEN["n_bars"])
+        tree = mst(to_distance(pearson_matrix(log_returns(panel))))
+        golden = golden_tree(case)
+        assert tree.nodes == golden.nodes
+        assert [(e.a, e.b) for e in tree.edges] == [(e.a, e.b) for e in golden.edges]
+        assert [e.weight for e in tree.edges] == pytest.approx(
+            [e.weight for e in golden.edges], abs=1e-12)
+
+    @pytest.mark.parametrize("case,weighting", mst_cases())
+    def test_mst_graphs_bit_identical(self, case, weighting):
+        tree = golden_tree(case)
+        part = louvain(graph_from_tree(tree, weighting))
+        expected = case[weighting]
+        assert float.hex(part.modularity) == expected["modularity"]
+        assert part.communities == tuple(
+            tuple(tree.nodes[i] for i in c) for c in expected["communities"])
+
+    def test_clique_block_graphs_bit_identical(self):
+        rng = np.random.default_rng(GOLDEN["clique_seed"])
+        for expected in GOLDEN["clique"]:
+            part = louvain(clique_block_graph(rng))
+            assert float.hex(part.modularity) == expected["modularity"]
+            assert part.communities == tuple(map(tuple, expected["communities"]))
+
+    @pytest.mark.parametrize("case,weighting", mst_cases())
+    def test_not_worse_than_networkx(self, case, weighting):
+        nx = pytest.importorskip("networkx")
+        g = graph_from_tree(golden_tree(case), weighting)
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(g.nodes)
+        nx_graph.add_weighted_edges_from(
+            (u, v, w) for u in g.nodes for v, w in g.adjacency[u] if u < v)
+        best_nx = max(
+            nx.community.modularity(
+                nx_graph, nx.community.louvain_communities(
+                    nx_graph, weight="weight", seed=seed), weight="weight")
+            for seed in range(3))
+        assert louvain(g).modularity >= best_nx - 0.02

@@ -590,6 +590,12 @@ class TestPanelInvariants:
             AlignedPanel(assets=(stock_meta("A"),), grid=grid,
                          prices=np.full((1, 5), 1.0))
 
+    def test_rejects_duplicate_tickers(self):
+        grid = intraday_grid(5)
+        with pytest.raises(DataError, match="duplicate tickers.*'A'"):
+            AlignedPanel(assets=(stock_meta("A"), stock_meta("B"), stock_meta("A")),
+                         grid=grid, prices=np.full((3, 5), 1.0))
+
     def test_requires_three_timestamps(self):
         grid = intraday_grid(2)
         with pytest.raises(DataError):

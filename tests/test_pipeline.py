@@ -288,6 +288,27 @@ class TestCombinedPass:
         with pytest.raises(ConfigError, match="min_community_size"):
             ENTRY_POINTS[entry](panel, [event, calm], min_community_size=1)
 
+    @pytest.mark.parametrize("vehicle,proxy", [(None, "NOPE"),
+                                               (Vehicle.CRYPTO, "E00")])
+    def test_unknown_beta_proxy_rejected_before_any_slice(self, vehicle, proxy,
+                                                          monkeypatch):
+        panel, event, calm = twelve_asset_run_inputs()
+        if vehicle is not None:  # the proxy exists, but not in this vehicle
+            assert proxy in panel.tickers
+            panel = panel.restrict([a.ticker for a in panel.assets
+                                    if a.vehicle is vehicle])
+        calls = []
+        real_slice = pipeline.slice_panel
+
+        def counting_slice(*args, **kwargs):
+            calls.append(args[1])
+            return real_slice(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "slice_panel", counting_slice)
+        with pytest.raises(ConfigError, match=f"beta proxy '{proxy}'"):
+            run_analysis(panel, [event, calm], beta_proxy=proxy)
+        assert calls == []
+
     @pytest.mark.parametrize("entry", ["run_analysis", "run_combined",
                                        "community_structure"])
     def test_unknown_louvain_weights_rejected_before_any_work(self, entry,
@@ -509,6 +530,21 @@ class TestLoadPanel:
         assert panel.tickers == panel0.tickers
         assert panel.grid.tolist() == panel0.grid.tolist()
         assert not panel.fills.any() and all(d.accepted for d in decisions.values())
+
+    def test_two_files_for_one_ticker_fail_before_parsing(self, tmp_path,
+                                                          monkeypatch):
+        panel0 = random_walk_panel(8, 3, 60)
+        write_bar_files(panel0, tmp_path)
+        (tmp_path / "s001.csv").write_text((tmp_path / "S001.csv").read_text())
+        sector_map = {t: stock_meta(t) for t in panel0.tickers}
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a file was parsed before the check")
+
+        monkeypatch.setattr(pipeline, "load_bars", no_parse)
+        with pytest.raises(DataError, match="S001.csv and s001.csv both name"
+                                            " ticker S001"):
+            load_panel(tmp_path, sector_map)
 
     def test_unmapped_ticker_is_config_error(self, tmp_path):
         (tmp_path / "zzz.csv").write_text("2019-04-01 09:30,1.0\n")
