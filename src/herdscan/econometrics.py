@@ -24,14 +24,27 @@ without it. The split partial sums also add up in an order that depends on
 the thread count, so the last digits of a report would depend on
 ``OPENBLAS_NUM_THREADS``. ``einsum`` never calls BLAS.
 
-``ols`` calls LAPACK's ``dgeqp3``, ``dorgqr`` and ``dtrtrs`` directly
-through ``scipy.linalg.lapack``, with the arguments and array layouts that
-``scipy.linalg.qr(pivoting=True)`` and ``solve_triangular`` pass, so its
-results are the same bits without the wrappers' workspace queries, input
-validation and batch dispatch: on a 2-core x86-64 machine one fit at
-n = 540, k = 3 took 183 us through the wrappers and 87 us without them.
-With at most 5 columns, below LAPACK's block size, the unblocked routines
-run whatever the workspace size.
+``ols`` calls LAPACK's ``dgeqp3`` and ``dorgqr`` directly through
+``scipy.linalg.lapack``, with the arguments and array layouts that
+``scipy.linalg.qr(pivoting=True)`` passes, so its results are the same bits
+without the wrapper's workspace queries, input validation and batch
+dispatch: on a 2-core x86-64 machine one fit at n = 540, k = 3 took 183 us
+through the wrappers and 87 us without them. With at most 5 columns, below
+LAPACK's block size, the unblocked routines run whatever the workspace size.
+
+The two k x k triangular solves go to BLAS ``dtrsv`` (the coefficients)
+and ``dtrsm`` (the inverse of R), not to LAPACK ``dtrtrs``, the routine
+``solve_triangular`` calls. scipy's bundled OpenBLAS hands a ``dtrtrs``
+with a matrix right-hand side to its worker threads however small the
+system, and a woken worker then spins for about 110 ms waiting for more
+work: on a 2-core x86-64 machine one 3 x 3 ``dtrtrs`` was followed by a
+full core of CPU for that long, and 200 back-to-back fits at n = 545 used
+1.5-2.0 times as much CPU as wall time (1.0 with the BLAS calls).
+``dtrsv`` and ``dtrsm`` get the operands ``dtrtrs`` got and return the same
+bits; ``dtrsm`` on a vector right-hand side does not, so each routine
+keeps its own case. ``dtrtrs``'s singularity check is not needed: ``ols``
+raises ``RankDeficient`` before any solve when a diagonal of R is at or
+below the rank tolerance.
 
 The designs are built in place as C-ordered arrays. The layout is part of
 the result: ``X @ coef`` and the Newey-West score products add up in an
@@ -47,7 +60,7 @@ from enum import Enum
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.special import stdtr
 
 from .errors import (
@@ -167,7 +180,8 @@ def ols(design: np.ndarray, response: np.ndarray, *,
         raise TooFewObservations(f"need n > k, got n={n}, k={k}")
 
     # The calls and array layouts of scipy.linalg.qr(X, mode="economic",
-    # pivoting=True) and solve_triangular, without their wrapper overhead.
+    # pivoting=True) without its wrapper overhead; _solve_upper gives the
+    # bits of solve_triangular.
     qr, piv, tau, _, info = lapack.dgeqp3(X)
     _check_lapack("dgeqp3", info)
     piv -= 1
@@ -210,12 +224,13 @@ def ols(design: np.ndarray, response: np.ndarray, *,
 def _solve_upper(r_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``solve_triangular(r_mat, rhs)`` for the C-ordered ``r_mat`` of ``ols``.
 
-    LAPACK reads Fortran order, so, like scipy, this solves the transposed
-    (lower-triangular) system of ``r_mat.T``, a Fortran-ordered view.
+    BLAS reads Fortran order, so, like scipy, this solves the transposed
+    (lower-triangular) system of ``r_mat.T``, a Fortran-ordered view. A
+    vector goes to ``dtrsv`` and a matrix to ``dtrsm`` (module docstring).
     """
-    x, info = lapack.dtrtrs(r_mat.T, rhs, lower=1, trans=1)
-    _check_lapack("dtrtrs", info)
-    return x
+    if rhs.ndim == 1:
+        return blas.dtrsv(r_mat.T, rhs, lower=1, trans=1)
+    return blas.dtrsm(1.0, r_mat.T, rhs, lower=1, trans_a=1)
 
 
 def _check_lapack(name: str, info: int) -> None:

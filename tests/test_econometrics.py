@@ -3,10 +3,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ import herdscan
 from herdscan.econometrics import (
     Model,
     Significance,
+    _solve_upper,
     _two_sided_p,
     basic_design,
     beta_distance_stats,
@@ -242,6 +245,46 @@ class TestOlsMatchesScipyWrappers:
         X = np.column_stack([np.ones(40), x, x ** 2])
         for y in (np.zeros(40), np.full(40, 5.0), 3.0 + 2.0 * x, -(x ** 2)):
             _assert_same_as_wrapper_ols(X, y, hac)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_solve_upper_matches_solve_triangular(k, data, seed):
+    # diagonals and off-diagonals from 1e-12 to 1e12, either sign; both the
+    # coefficient solve (a vector) and the inverse (the identity) must give
+    # solve_triangular's bits, signed zeros included
+    exponents = data.draw(st.lists(st.floats(-12.0, 12.0), min_size=k,
+                                   max_size=k), label="diagonal exponents")
+    rng = np.random.default_rng(seed)
+    r_mat = np.triu(rng.standard_normal((k, k))
+                    * 10.0 ** rng.uniform(-12.0, 12.0, (k, k)))
+    r_mat[np.diag_indices(k)] = (rng.choice([-1.0, 1.0], k)
+                                 * 10.0 ** np.array(exponents))
+    for rhs in (rng.standard_normal(k), np.eye(k)):
+        want = sla.solve_triangular(r_mat, rhs, check_finite=False)
+        got = _solve_upper(r_mat, rhs)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="a second busy thread needs a second CPU")
+@pytest.mark.parametrize("hac", [False, True])
+@pytest.mark.parametrize("k", [3, 5])
+def test_fits_stay_on_one_thread(k, hac):
+    # A BLAS or LAPACK call that wakes a worker thread leaves it spinning
+    # after it returns, so the process uses more CPU than wall time.
+    rng = np.random.default_rng(13)
+    rm = rng.normal(0.0, 0.01, 545)
+    cs = csad_series(rm, 0.02 + 0.8 * np.abs(rm) + 0.002 * rng.standard_normal(545))
+    X = basic_design(cs) if k == 3 else updown_design(cs, *up_down_masks(cs))
+    ols(X, cs.csad, hac=hac)
+    time.sleep(0.3)  # a worker woken by an earlier test goes idle
+    wall, cpu = time.perf_counter(), time.process_time()
+    for _ in range(200):
+        ols(X, cs.csad, hac=hac)
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    assert cpu <= 1.25 * wall, f"{cpu / wall:.2f}x CPU per wall second"
 
 
 def test_import_leaves_scipy_stats_out():

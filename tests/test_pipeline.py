@@ -561,9 +561,9 @@ class TestThreadCap:
         monkeypatch.setenv("HERDSCAN_THREADS", "3")
         assert thread_cap() == 3
 
-    def test_default_is_cpu_count(self, monkeypatch):
+    def test_default_is_one(self, monkeypatch):
         monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
-        assert thread_cap() == (os.cpu_count() or 1)
+        assert thread_cap() == 1
 
     @pytest.mark.parametrize("raw", ["zero", "", "0", "-1"])
     def test_invalid_env(self, monkeypatch, raw):
@@ -571,10 +571,9 @@ class TestThreadCap:
         with pytest.raises(ConfigError, match="HERDSCAN_THREADS"):
             thread_cap()
 
-    def test_parallel_matches_serial(self, monkeypatch, tmp_path):
-        panel, event, calm = vehicle_event_panel(6, n_per_vehicle=4,
-                                                 event_bars=650,
-                                                 calm_bars=350)
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The thread pools ``pipeline`` creates while the test runs."""
         pools = []
         pool_class = pipeline.ThreadPoolExecutor
 
@@ -583,6 +582,21 @@ class TestThreadCap:
             return pools[-1]
 
         monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool)
+        return pools
+
+    def test_default_runs_serially(self, monkeypatch, pools):
+        panel, event, calm = vehicle_event_panel(6, n_per_vehicle=4,
+                                                 event_bars=650,
+                                                 calm_bars=350)
+        monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
+        run = run_analysis(panel, [event, calm])
+        assert run.sub_names == ("event", "calm", "full")
+        assert pools == []
+
+    def test_parallel_matches_serial(self, monkeypatch, tmp_path, pools):
+        panel, event, calm = vehicle_event_panel(6, n_per_vehicle=4,
+                                                 event_bars=650,
+                                                 calm_bars=350)
         runs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("HERDSCAN_THREADS", threads)
