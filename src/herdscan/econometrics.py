@@ -44,7 +44,9 @@ full core of CPU for that long, and 200 back-to-back fits at n = 545 used
 bits; ``dtrsm`` on a vector right-hand side does not, so each routine
 keeps its own case. ``dtrtrs``'s singularity check is not needed: ``ols``
 raises ``RankDeficient`` before any solve when a diagonal of R is at or
-below the rank tolerance.
+below the rank tolerance. numpy bundles a second OpenBLAS with its own
+thread pool; ``pipeline`` holds that one at one thread for the whole
+sub-period pass, the fits included.
 
 The designs are built in place as C-ordered arrays. The layout is part of
 the result: ``X @ coef`` and the Newey-West score products add up in an

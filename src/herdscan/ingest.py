@@ -431,8 +431,6 @@ def _parse_fast(data: bytes, zone: ZoneInfo | None
     if starts.size == 0 or (ends - starts).max() > csv.field_size_limit():
         return None
     commas = np.flatnonzero(b == ord(","))
-    first = np.searchsorted(commas, starts)
-    n_commas = np.searchsorted(commas, ends) - first
 
     head = data[starts[0]:ends[0]].decode("ascii").split(",")
     if all(not c.strip() for c in head):
@@ -440,15 +438,22 @@ def _parse_fast(data: bytes, zone: ZoneInfo | None
     try:
         _parse_timestamp(head[0], zone)
     except ValueError:  # a header line
-        starts, ends, first, n_commas = starts[1:], ends[1:], first[1:], n_commas[1:]
+        starts, ends = starts[1:], ends[1:]
         if starts.size == 0:
             return None
-    n_cols = int(n_commas[0]) + 1
-    if n_cols not in (2, 6) or (n_commas != n_cols - 1).any():
+        commas = commas[np.searchsorted(commas, starts[0]):]
+    # Every comma now lies on a data line. Sorted, they split into one row
+    # per line exactly when there are n_cols - 1 per line and each row's
+    # first and last fall inside its own line.
+    n_cols = data.count(b",", starts[0], ends[0]) + 1
+    if n_cols not in (2, 6) or commas.size != (n_cols - 1) * starts.size:
+        return None
+    commas = commas.reshape(starts.size, n_cols - 1)
+    if (commas[:, 0] < starts).any() or (commas[:, -1] >= ends).any():
         return None
 
-    width = int(commas[first[0]] - starts[0])
-    if width not in (16, 17, 19, 20) or (commas[first] - starts != width).any():
+    width = int(commas[0, 0] - starts[0])
+    if width not in (16, 17, 19, 20) or (commas[:, 0] - starts != width).any():
         return None
     secs = _fixed_width_seconds(
         np.lib.stride_tricks.sliding_window_view(b, width)[starts])
@@ -460,9 +465,9 @@ def _parse_fast(data: bytes, zone: ZoneInfo | None
             return None
 
     if n_cols == 2:
-        lo, hi = commas[first] + 1, ends
+        lo, hi = commas[:, 0] + 1, ends
     else:
-        lo, hi = commas[first + 3] + 1, commas[first + 4]
+        lo, hi = commas[:, 3] + 1, commas[:, 4]
     closes = _gather_floats(b, lo, hi - lo)
     if closes is None or not np.isfinite(closes).all() or (closes <= 0).any():
         return None

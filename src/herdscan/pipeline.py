@@ -18,19 +18,31 @@ end to end than one (and 1.6 times slower on many short sub-periods), and
 one worker used 20-28 % less peak memory. Report files are
 byte-deterministic for a given input and configuration, so wall-clock
 timings never go into them; the CLI logs them instead.
+
+While the sub-periods run, numpy's bundled OpenBLAS is held at one thread
+(``_one_blas_thread``). From 100 assets up, the correlation product wakes
+its worker thread, which then spins a full core for about 0.13 s waiting
+for more work; on a 2-core x86-64 machine that was 40 % of the CPU time of
+a 1000-asset run, for no gain in wall time. On one thread the reports also
+no longer depend on ``OPENBLAS_NUM_THREADS`` or the CPU count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
+import threading
 import time as time_mod
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .community import LOUVAIN_WEIGHTINGS, Partition, graph_from_tree, louvain
 from .econometrics import (
@@ -161,6 +173,76 @@ def _map_units(fn: Callable, units: Sequence) -> list:
         return list(pool.map(fn, units))
 
 
+#: (get, set) symbol pairs of OpenBLAS's thread count, first match wins:
+#: numpy 2.x wheels, numpy 1.26 wheels, a 32-bit-integer build.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _numpy_openblas() -> tuple[str, Callable[[], int], Callable[[int], None]] | None:
+    """(``path:get_symbol``, get, set) of the thread count of the OpenBLAS
+    bundled in numpy's wheel, bound on first use; None when there is none.
+
+    Wheels ship it in ``numpy.libs/`` (Linux, Windows) or ``numpy/.dylibs/``
+    (macOS); loading it again returns the copy numpy already uses.
+    """
+    root = Path(np.__file__).resolve().parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return f"{path}:{get_name}", get, set_
+    return None
+
+
+# The thread count is one per process, so the passes that hold it are
+# counted per process too: the first to start saves it, the last to end
+# restores it.
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 0
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
+
+    The count is process-wide: numpy BLAS calls from other threads also run
+    on one thread while a block is open, and overlapping blocks (analyses
+    run from several threads at once) restore it when the last one ends.
+    Without a bundled OpenBLAS this does nothing.
+    """
+    global _blas_users, _blas_saved
+    bound = _numpy_openblas()
+    if bound is None:
+        yield
+        return
+    _, get, set_ = bound
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)
+
+
 # --- loading ------------------------------------------------------------------
 
 def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
@@ -264,6 +346,18 @@ def _sub_pass(panel: AlignedPanel, subs: Sequence[SubPeriod],
     Every sub-period, and the full period, is sliced and turned into log
     returns once (the slice is freed then); the vehicle cells and then the
     community structure are fitted from those returns.
+
+    The pass runs with numpy's OpenBLAS on one thread. Its threaded call
+    here is the correlation product of ``pearson_matrix`` (a ``syrk``, which
+    OpenBLAS hands to its worker thread from 100 assets up), and the woken
+    worker then spins a full core for about 0.13 s waiting for more work. On
+    a 2-core x86-64 machine each ``np.corrcoef`` of 100, 219 or 1000 assets
+    was followed by 0.13-0.14 s of extra CPU (none at 60 assets), and the
+    threaded 1000 x 2600 product saved only 0.015 s of wall time. It also
+    rounded 60-260 correlations of a 100-300-asset panel differently in the
+    last bit, which now and then moved a digit of a spanning-tree file. numpy
+    BLAS calls made by other threads while a pass runs also run on one
+    thread.
     """
     def one(sub: SubPeriod) -> tuple:
         try:
@@ -275,7 +369,8 @@ def _sub_pass(panel: AlignedPanel, subs: Sequence[SubPeriod],
                 *(structure(rp, sub.name) if structure else (None, None, ())))
 
     _check_report_names(sub.name for sub in subs)  # no two may share report files
-    return _map_units(one, [*subs, full_subperiod(panel)])
+    with _one_blas_thread():
+        return _map_units(one, [*subs, full_subperiod(panel)])
 
 
 def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,

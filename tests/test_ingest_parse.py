@@ -259,6 +259,11 @@ def test_february_29_only_in_leap_years(year):
         assert secs is None
 
 
+TWO = "2019-04-01 09:30,1.0\n2019-04-01 10:00,2.0\n2019-04-01 10:30,3.0\n"
+SIX = ("2019-04-01 09:30,1,1,1,1.0,5\n2019-04-01 10:00,1,1,1,2.0,5\n"
+       "2019-04-01 10:30,1,1,1,3.0,5\n")
+
+
 @pytest.mark.parametrize("text", [
     '"2019-04-01 09:30",1.0\n2019-04-01 10:00,2.0\n',
     "2019-04-01 09:30,1.0\n2019-04-01 10:00,2.0\x00\n",
@@ -275,11 +280,37 @@ def test_february_29_only_in_leap_years(year):
     "ticker é,close\n2019-04-01 09:30,1.0\n",
     "2019-04-01T13:30:00Z,1.0\n0001-01-01T05:00:00Z,2.0\n",
     "2019-04-01 09:30,1,1,1,1.0,1\n2019-04-01 10:00,1,1,1,2.0," + "9" * 140_000 + "\n",
+    # a line with another column count; in the second and fourth file the
+    # comma total is right for the data lines, in the last two it is right
+    # when the header's commas are counted
+    TWO.replace(",2.0", ",2.0,"),
+    TWO.replace(",2.0", ",2.0,").replace(",3.0", "3.0"),
+    SIX.replace(",2.0,5", ",2.0"),
+    SIX.replace(",2.0,5", ",2.0,5,").replace(",3.0,5", ",3.05"),
+    "timestamp,close\n" + TWO.replace(",1.0", ",1.0,"),
+    "timestamp,close\n" + TWO.replace(",3.0", "3.0"),
+    "timestamp,close,\n" + TWO.replace(",2.0", "2.0").replace(",3.0", "3.0"),
 ])
 def test_other_files_are_left_to_row_parser(tmp_path, text):
     path = tmp_path / "X.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _parse_fast(path.read_bytes(), NEW_YORK) is None
+    assert outcome(load_bars, path, "America/New_York") == \
+        outcome(_load_bars_rows, path, "America/New_York")
+
+
+@pytest.mark.parametrize("text", [
+    "timestamp,close,\n" + TWO,
+    "timestamp,open,high,low,close,volume\n" + TWO,
+    "timestamp,close\n" + SIX,
+    "timestamp\n" + SIX,
+])
+def test_header_column_count_is_not_the_data_count(tmp_path, text):
+    path = tmp_path / "X.csv"
+    path.write_text(text)
+    parsed = _parse_fast(path.read_bytes(), NEW_YORK)
+    assert parsed is not None
+    assert parsed[1].tolist() == [1.0, 2.0, 3.0]
     assert outcome(load_bars, path, "America/New_York") == \
         outcome(_load_bars_rows, path, "America/New_York")
 

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 
 import herdscan
 from herdscan import ingest, pipeline
-from herdscan.errors import ConfigError, DataError, EmptyCommunity
+from herdscan.errors import ConfigError, DataError, EmptyCommunity, ZeroVarianceAsset
 from herdscan.ingest import AlignedPanel, AssetMeta, Sector, SubPeriod, Vehicle, slice_panel
 from herdscan.pipeline import (
     community_structure,
@@ -431,15 +433,20 @@ class TestEmitReport:
         # OpenBLAS splits a ddot of more than 10 000 elements across its
         # threads, so the full period needs more bars than that; the fits
         # and betas of that period must not depend on how it is split.
+        # From 100 assets the correlation product is split too, and about
+        # 250 of the 150-asset panel's correlations differ in the last bit
+        # between one and two threads, enough to move its tree's digits.
         script = (
             "import sys\n"
-            "from generators import vehicle_event_panel\n"
+            "from generators import random_walk_panel, vehicle_event_panel\n"
             "from herdscan.pipeline import emit_report, run_analysis\n"
             "panel, event, calm = vehicle_event_panel(\n"
             "    11, n_per_vehicle=4, event_bars=9000, calm_bars=5000)\n"
             "for hac in (False, True):\n"
             "    run = run_analysis(panel, [event, calm], hac=hac)\n"
             "    emit_report(run, f'{sys.argv[1]}/hac_{hac}')\n"
+            "emit_report(run_analysis(random_walk_panel(3, 150, 2600), []),\n"
+            "            f'{sys.argv[1]}/wide')\n"
         )
         src = Path(herdscan.__file__).resolve().parents[1]
         path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
@@ -449,7 +456,8 @@ class TestEmitReport:
                            env=env, check=True, timeout=600)
         one, two = tmp_path / "1", tmp_path / "2"
         files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
-        assert len(files) == 2 * 11  # run.json, verdicts.csv, 3 x 3 per period
+        # run.json, verdicts.csv, 3 x 3 per period; the wide run has no sub-period
+        assert len(files) == 2 * 11 + 5
         for f in files:
             assert (one / f).read_bytes() == (two / f).read_bytes(), f
 
@@ -611,6 +619,122 @@ class TestThreadCap:
         assert len(files) == 2 + 3 * 3  # run.json, verdicts.csv, 3 per period
         for name in files:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def quarter_subperiods(panel: AlignedPanel) -> list[SubPeriod]:
+    """Four sub-periods of equal trading-day counts, covering the panel."""
+    days = np.unique(panel.grid.astype("datetime64[D]"))
+    return [SubPeriod(f"q{i}", part[0].item(), part[-1].item())
+            for i, part in enumerate(np.array_split(days, 4))]
+
+
+needs_numpy_openblas = pytest.mark.skipif(
+    pipeline._numpy_openblas() is None, reason="numpy bundles no OpenBLAS")
+
+
+class TestOneBlasThread:
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+    def test_pass_leaves_no_blas_worker_spinning(self, monkeypatch):
+        # From 100 assets np.corrcoef wakes OpenBLAS's worker thread, which
+        # then spins a core for about 0.13 s; five periods of that used
+        # about twice as much CPU as wall time on 2 cores.
+        monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
+        panel = random_walk_panel(3, 150, 2600)
+        subs = quarter_subperiods(panel)
+        run_analysis(panel, subs)
+        time.sleep(0.3)  # let any worker woken before this test settle
+        cpu, wall = time.process_time(), time.perf_counter()
+        run_analysis(panel, subs)
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        assert cpu <= 1.25 * wall, (cpu, wall)
+
+    @pytest.fixture
+    def blas_threads(self):
+        """numpy's OpenBLAS thread count, set to 2 for the test and reset after."""
+        _, get, set_ = pipeline._numpy_openblas()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @pytest.fixture
+    def counts_in_pass(self, monkeypatch, blas_threads):
+        """The thread counts ``pearson_matrix`` ran under."""
+        counts = []
+        pearson = pipeline.pearson_matrix
+
+        def counting_pearson(rp):
+            counts.append(blas_threads())
+            return pearson(rp)
+
+        monkeypatch.setattr(pipeline, "pearson_matrix", counting_pearson)
+        return counts
+
+    @needs_numpy_openblas
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_count_restored_after_a_run(self, monkeypatch, blas_threads,
+                                        counts_in_pass, workers):
+        monkeypatch.setenv("HERDSCAN_THREADS", workers)
+        panel = random_walk_panel(4, 6, 260)
+        run_analysis(panel, quarter_subperiods(panel))
+        assert counts_in_pass == [1] * 5
+        assert blas_threads() == 2
+
+    @needs_numpy_openblas
+    def test_count_restored_after_a_failed_run(self, monkeypatch, blas_threads,
+                                               counts_in_pass):
+        monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
+        panel = random_walk_panel(4, 6, 260)
+        panel.prices[2] = 50.0  # a constant price: no correlation to take
+        with pytest.raises(ZeroVarianceAsset):
+            run_analysis(panel, quarter_subperiods(panel))
+        assert counts_in_pass == [1]
+        assert blas_threads() == 2
+
+    @needs_numpy_openblas
+    def test_overlapping_passes_restore_the_count_last(self, blas_threads):
+        # two analyses run from two threads: the first to end must not
+        # restore the count under the other, nor the other restore a 1
+        first, second = pipeline._one_blas_thread(), pipeline._one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert blas_threads() == 1
+        second.__exit__(None, None, None)
+        assert blas_threads() == 2
+
+    @needs_numpy_openblas
+    def test_many_threads_hold_and_restore_the_count(self, blas_threads):
+        inside = []
+
+        def hold_repeatedly():
+            for _ in range(200):
+                with pipeline._one_blas_thread():
+                    inside.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hold_repeatedly) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert inside == [1] * 1600
+        assert blas_threads() == 2
+
+    def test_binds_numpy_bundled_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        root = Path(np.__file__).resolve().parent
+        bundled = (root.parent / "numpy.libs").is_dir() or (root / ".dylibs").is_dir()
+        if "openblas" not in blas["name"].lower() or not bundled:
+            pytest.skip(f"numpy bundles no OpenBLAS (blas: {blas['name']})")
+        assert pipeline._numpy_openblas() is not None
+        _, get, _ = pipeline._numpy_openblas()
+        assert get() >= 1
 
 
 class TestFullSubperiod:
