@@ -5,6 +5,10 @@ Subcommands:
   communities  graph and partition exports only
   csad         market-return / dispersion series dump only
 
+Each command reads its config files before any bar file, and writes its
+output through one of ``pipeline``'s ``emit_*`` functions, which also
+delete what an earlier command left in ``--out``.
+
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
 
@@ -24,18 +28,14 @@ from .ingest import (
     AssetMeta,
     Sector,
     Vehicle,
-    file_slug,
     read_sector_map,
     read_subperiods,
 )
 from .pipeline import (
     DEFAULT_MIN_COMMUNITY_SIZE,
-    _fmt,
-    _make_dir,
-    _mst_csv,
-    _remove_stale_reports,
-    _write,
     community_structure,
+    emit_communities,
+    emit_csad,
     emit_report,
     load_panel,
     run_analysis,
@@ -121,6 +121,7 @@ def _load(args):
 
 
 def _cmd_analyze(args) -> int:
+    subs = read_subperiods(args.subperiods)
     panel, load_seconds = _load(args)
     if args.vehicle != "all":
         wanted = Vehicle.parse(args.vehicle)
@@ -128,7 +129,6 @@ def _cmd_analyze(args) -> int:
         if len(tickers) < 2:
             raise DataError(f"fewer than 2 assets for vehicle {args.vehicle}")
         panel = panel.restrict(tickers)
-    subs = read_subperiods(args.subperiods)
     run = run_analysis(
         panel, subs,
         min_community_size=args.min_community_size,
@@ -144,39 +144,20 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_communities(args) -> int:
-    panel, _ = _load(args)
     subs = read_subperiods(args.subperiods)
+    panel, _ = _load(args)
     structures = community_structure(panel, subs,
                                      louvain_weights=args.louvain_weights)
-    out: Path = args.out
-    _make_dir(out)
-    written: list[Path] = []
-    for sub_name, (tree, partition) in sorted(structures.items()):
-        slug = file_slug(sub_name)
-        lines = ["ticker,community_id"]
-        if partition is not None:
-            for ticker in sorted(partition.assignment):
-                lines.append(f"{ticker},{partition.assignment[ticker]}")
-        partition_path = out / f"partition_{slug}.csv"
-        mst_path = out / f"mst_{slug}.csv"
-        _write(partition_path, "\n".join(lines) + "\n")
-        _write(mst_path, _mst_csv(tree))
-        written += [partition_path, mst_path]
-    _remove_stale_reports(out, written)
-    log.info("wrote %d sub-period structures to %s", len(structures), out)
+    emit_communities(structures, args.out)
+    log.info("wrote %d sub-period structures to %s", len(structures), args.out)
     return 0
 
 
 def _cmd_csad(args) -> int:
     panel, _ = _load(args)
     series = csad(log_returns(panel))
-    out: Path = args.out
-    _make_dir(out)
-    lines = ["timestamp,market_return,csad"]
-    for ts, rm, disp in zip(series.grid, series.market_return, series.csad):
-        lines.append(f"{ts},{_fmt(float(rm))},{_fmt(float(disp))}")
-    _write(out / "csad.csv", "\n".join(lines) + "\n")
-    log.info("wrote csad series (%d rows) to %s", len(series), out)
+    emit_csad(series, args.out)
+    log.info("wrote csad series (%d rows) to %s", len(series), args.out)
     return 0
 
 

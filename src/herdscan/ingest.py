@@ -840,24 +840,37 @@ def slice_panel(panel: AlignedPanel, sub: SubPeriod) -> AlignedPanel:
 
 # --- config files -------------------------------------------------------------
 
+def _config_lines(path: Path, what: str) -> Iterator[tuple[str, str]]:
+    """(``path:line``, body) of each line of a config file that is not blank
+    once its ``#`` comment is cut. The file is UTF-8 whatever the locale; an
+    unreadable file or a byte that is not UTF-8 is a ConfigError."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line that holds the bad byte: lines before it, plus its own
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"{path}:{line_no}: not UTF-8 ({exc.reason})") from None
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield f"{path}:{line_no}", body
+
+
 def read_sector_map(path: Path | str) -> dict[str, AssetMeta]:
     """Parse a "TICKER vehicle sector" map, one asset per line."""
     path = Path(path)
     out: dict[str, AssetMeta] = {}
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read sector map {path}: {exc}") from None
-    for line_no, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for where, body in _config_lines(path, "sector map"):
         parts = body.split()
         if len(parts) != 3:
-            raise ConfigError(f"{path}:{line_no}: expected 'TICKER vehicle sector'")
+            raise ConfigError(f"{where}: expected 'TICKER vehicle sector'")
         ticker = parts[0].upper()
         if ticker in out:
-            raise ConfigError(f"{path}:{line_no}: duplicate ticker {ticker}")
+            raise ConfigError(f"{where}: duplicate ticker {ticker}")
         out[ticker] = AssetMeta(ticker, Vehicle.parse(parts[1]), Sector.parse(parts[2]))
     if not out:
         raise ConfigError(f"sector map {path} is empty")
@@ -867,22 +880,15 @@ def read_sector_map(path: Path | str) -> dict[str, AssetMeta]:
 def read_subperiods(path: Path | str) -> tuple[SubPeriod, ...]:
     """Parse "name,start_date,end_date" lines with ISO dates."""
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read sub-period file {path}: {exc}") from None
     subs: list[SubPeriod] = []
-    for line_no, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for where, body in _config_lines(path, "sub-period file"):
         parts = [p.strip() for p in body.split(",")]
         if len(parts) != 3:
-            raise ConfigError(f"{path}:{line_no}: expected 'name,start,end'")
+            raise ConfigError(f"{where}: expected 'name,start,end'")
         try:
             start, end = date.fromisoformat(parts[1]), date.fromisoformat(parts[2])
         except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
         subs.append(SubPeriod(parts[0], start, end))
     _check_report_names((s.name for s in subs), where=f"{path}: ")
     return tuple(subs)

@@ -17,7 +17,9 @@ x86-64 machine over three benchmark workloads, two workers were no faster
 end to end than one (and 1.6 times slower on many short sub-periods), and
 one worker used 20-28 % less peak memory. Report files are
 byte-deterministic for a given input and configuration, so wall-clock
-timings never go into them; the CLI logs them instead.
+timings never go into them; the CLI logs them instead. The three CLI
+commands' files are written by the ``emit_*`` functions, all through
+``_emit``, which also deletes other commands' and earlier runs' files.
 
 While the sub-periods run, numpy's bundled OpenBLAS is held at one thread
 (``_one_blas_thread``). From 100 assets up, the correlation product wakes
@@ -632,20 +634,6 @@ def _verdict_fields(v: HerdingVerdict | None) -> list[str]:
             _fmt(v.herding_down), _fmt(v.herding_any)]
 
 
-def _make_dir(path: Path) -> None:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(path, exc) from None
-
-
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoFailure(path, exc) from None
-
-
 def _mst_csv(tree: SpanningTree | None) -> str:
     """``source,target,correlation,distance`` rows of a tree, in edge order."""
     lines = ["source,target,correlation,distance"]
@@ -656,43 +644,44 @@ def _mst_csv(tree: SpanningTree | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Names of the files ``emit_report`` and ``cli communities`` write, as
-#: ``Path.glob`` patterns. Both remove every such file they did not write,
-#: so an output directory holds one run's files, whichever command wrote it.
+#: Names of the files the ``emit_*`` functions write, as ``Path.glob``
+#: patterns. Each deletes every such file it did not write, so an output
+#: directory holds one command's files, whichever command wrote it before.
 _REPORT_PATTERNS = ("run.json", "verdicts.csv", "communities_*.csv",
-                    "plotdata_*.csv", "mst_*.csv", "partition_*.csv")
+                    "plotdata_*.csv", "mst_*.csv", "partition_*.csv", "csad.csv")
 
 
-def _remove_stale_reports(out_dir: Path, written: Sequence[Path]) -> None:
-    """Delete the report-named files in ``out_dir`` that are not in ``written``."""
-    keep = set(written)
-    for pattern in _REPORT_PATTERNS:
-        for path in out_dir.glob(pattern):
-            if path not in keep and path.is_file():
-                try:
-                    path.unlink()
-                except OSError as exc:
-                    raise IoFailure(path, exc) from None
+def _emit(out_dir: Path | str, files: Mapping[str, str]) -> list[Path]:
+    """Write each ``name -> text`` of ``files`` into ``out_dir`` as UTF-8, then
+    delete the files there named like ``_REPORT_PATTERNS`` that it did not
+    write. Returns the written paths; IoFailure names the path that failed.
+    """
+    out_dir = Path(out_dir)
+    target = out_dir
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            target = out_dir / name
+            target.write_text(text, encoding="utf-8", newline="")
+        target = out_dir
+        stale = [path for pattern in _REPORT_PATTERNS for path in out_dir.glob(pattern)
+                 if path.name not in files and path.is_file()]
+        for target in stale:
+            target.unlink()
+    except OSError as exc:
+        raise IoFailure(target, exc) from None
+    return [out_dir / name for name in files]
 
 
 def emit_report(run: AnalysisRun, out_dir: Path | str) -> list[Path]:
-    """Write run.json plus the per-sub-period CSV set.
+    """Write run.json plus the per-sub-period CSV set; returns the paths.
 
     Outputs are byte-deterministic for identical input and config; the
-    run.json ``timings`` key is always null. Afterwards the files
-    in ``out_dir`` named like report files (``run.json``, ``verdicts.csv``,
-    ``communities_*.csv``, ``plotdata_*.csv``, ``mst_*.csv``) or like the
-    ``partition_*.csv`` of ``cli communities`` that this run did not write,
-    such as those of an earlier run with other sub-periods, are deleted;
-    every other file is left alone.
+    run.json ``timings`` key is always null. Afterwards any other file in
+    ``out_dir`` named like a ``_REPORT_PATTERNS`` output, such as those of an
+    earlier run with other sub-periods, is deleted; other files stay.
     """
-    out_dir = Path(out_dir)
-    _make_dir(out_dir)
-    written: list[Path] = []
-
-    run_path = out_dir / "run.json"
-    _write(run_path, json.dumps(_run_json(run), sort_keys=True, indent=2) + "\n")
-    written.append(run_path)
+    files = {"run.json": json.dumps(_run_json(run), sort_keys=True, indent=2) + "\n"}
 
     # verdicts.csv: one row per (vehicle, sub-period)
     lines = ["vehicle,sub_period,n_assets,n_obs," + ",".join(_VERDICT_COLUMNS)
@@ -707,9 +696,7 @@ def emit_report(run: AnalysisRun, out_dir: Path | str) -> list[Path]:
             row += _verdict_fields(cell.verdict)
             row.append(cell.skipped_reason or "")
             lines.append(",".join(row))
-    path = out_dir / "verdicts.csv"
-    _write(path, "\n".join(lines) + "\n")
-    written.append(path)
+    files["verdicts.csv"] = "\n".join(lines) + "\n"
 
     sectors = [s.value for s in sorted(Sector, key=lambda s: s.value)]
     for sub in run.sub_names:
@@ -725,9 +712,7 @@ def emit_report(run: AnalysisRun, out_dir: Path | str) -> list[Path]:
             row += [_fmt(float(r.sector_distribution.get(s, 0.0)))
                     for s in sorted(Sector, key=lambda s: s.value)]
             lines.append(",".join(row))
-        path = out_dir / f"communities_{slug}.csv"
-        _write(path, "\n".join(lines) + "\n")
-        written.append(path)
+        files[f"communities_{slug}.csv"] = "\n".join(lines) + "\n"
 
         lines = ["community_id,csad_abs_t,up_abs_t,down_abs_t"]
         for r in reports:
@@ -737,13 +722,32 @@ def emit_report(run: AnalysisRun, out_dir: Path | str) -> list[Path]:
             red = abs(v.t_gamma3) if v and v.herding_down else 0.0
             lines.append(",".join([str(r.community_id), _fmt(grey),
                                    _fmt(green), _fmt(red)]))
-        path = out_dir / f"plotdata_{slug}.csv"
-        _write(path, "\n".join(lines) + "\n")
-        written.append(path)
+        files[f"plotdata_{slug}.csv"] = "\n".join(lines) + "\n"
 
-        path = out_dir / f"mst_{slug}.csv"
-        _write(path, _mst_csv(run.trees.get(sub)))
-        written.append(path)
+        files[f"mst_{slug}.csv"] = _mst_csv(run.trees.get(sub))
 
-    _remove_stale_reports(out_dir, written)
-    return written
+    return _emit(out_dir, files)
+
+
+def emit_communities(structures: Mapping[str, tuple], out_dir: Path | str) -> list[Path]:
+    """Write ``partition_<sub>.csv`` and ``mst_<sub>.csv`` per sub-period of a
+    ``community_structure`` result; stale files go as in ``emit_report``."""
+    files: dict[str, str] = {}
+    for sub, (tree, partition) in sorted(structures.items()):
+        slug = file_slug(sub)
+        lines = ["ticker,community_id"]
+        if partition is not None:
+            for ticker in sorted(partition.assignment):
+                lines.append(f"{ticker},{partition.assignment[ticker]}")
+        files[f"partition_{slug}.csv"] = "\n".join(lines) + "\n"
+        files[f"mst_{slug}.csv"] = _mst_csv(tree)
+    return _emit(out_dir, files)
+
+
+def emit_csad(series: CsadSeries, out_dir: Path | str) -> list[Path]:
+    """Write ``csad.csv``, one row per return step; stale files go as in
+    ``emit_report``."""
+    lines = ["timestamp,market_return,csad"]
+    for ts, rm, disp in zip(series.grid, series.market_return, series.csad):
+        lines.append(f"{ts},{_fmt(float(rm))},{_fmt(float(disp))}")
+    return _emit(out_dir, {"csad.csv": "\n".join(lines) + "\n"})

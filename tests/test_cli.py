@@ -6,6 +6,17 @@ import pytest
 
 from herdscan import cli
 from herdscan.cli import main
+from herdscan.ingest import read_sector_map, read_subperiods
+from herdscan.pipeline import (
+    _REPORT_PATTERNS,
+    community_structure,
+    emit_communities,
+    emit_csad,
+    emit_report,
+    load_panel,
+    run_analysis,
+)
+from herdscan.returns import csad, log_returns
 
 from generators import vehicle_event_panel
 
@@ -242,6 +253,31 @@ def test_bad_thread_env_fails_before_loading(data_dir, tmp_path, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flag, text, message", [
+    ("analyze", "--subperiods", b"event,2019-04-01\n", ":1: expected 'name,start,end'"),
+    ("communities", "--subperiods", b"event,2019-04-01\n",
+     ":1: expected 'name,start,end'"),
+    ("analyze", "--subperiods", b"# caf\xe9\n", ":1: not UTF-8"),
+    ("analyze", "--sectors", b"E00 etf UsEtf\n\xff\n", ":2: not UTF-8"),
+    ("csad", "--sectors", b"E00 etf UsEtf\n\xff\n", ":2: not UTF-8"),
+])
+def test_bad_config_file_fails_before_loading(data_dir, tmp_path, monkeypatch,
+                                              capsys, command, flag, text, message):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the panel was loaded before the config files were read")
+
+    monkeypatch.setattr(cli, "load_panel", no_load)
+    config = tmp_path / "config"
+    config.write_bytes(text)
+    args = [command, "--data-dir", str(data_dir["bars"]), flag, str(config),
+            "--out", str(tmp_path / "out")]
+    if flag != "--sectors":
+        args += ["--sectors", str(data_dir["sectors"])]
+    assert main(args) == 2
+    assert f"config error: {config}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["communities", "csad"])
 def test_unwritable_out_is_io_failure(data_dir, tmp_path, command, capsys):
     out = tmp_path / "taken"
@@ -319,3 +355,54 @@ class TestCsadDump:
         assert len(lines) == 1 + 1000  # 1001 price bars, one return per step
         ts, rm, disp = lines[1].split(",")
         assert float(disp) >= 0.0
+
+
+def _run(command: str, data_dir, out) -> None:
+    args = [command, "--data-dir", str(data_dir["bars"]), "--out", str(out)]
+    if command == "analyze":
+        args += ["--sectors", str(data_dir["sectors"])]
+    if command != "csad":
+        args += ["--subperiods", str(data_dir["subs"])]
+    assert main(args) == 0
+
+
+class TestOneCommandPerOut:
+    """Whichever command wrote into ``--out`` before, the next one leaves its
+    own files there and the files no command writes, nothing else."""
+
+    @pytest.mark.parametrize("first, second", [
+        ("analyze", "csad"), ("csad", "analyze"),
+        ("communities", "csad"), ("csad", "communities"),
+        ("analyze", "communities"), ("communities", "analyze")])
+    def test_second_command_removes_the_first_ones_files(self, data_dir, tmp_path,
+                                                         first, second):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        _run(first, data_dir, out)
+        foreign = {"notes.txt": "mine", "csad.txt": "x", "csad.csv.bak": "y"}
+        for name, text in foreign.items():
+            (out / name).write_text(text)
+        _run(second, data_dir, out)
+        _run(second, data_dir, fresh)
+
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, *foreign])
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        for name, text in foreign.items():
+            assert (out / name).read_text() == text
+
+    def test_every_output_is_named_like_a_report(self, data_dir, tmp_path):
+        # an output kind missing from _REPORT_PATTERNS would outlive the next
+        # command's sweep; each writer's paths are globbed as the sweep does
+        panel, _ = load_panel(data_dir["bars"], read_sector_map(data_dir["sectors"]))
+        subs = read_subperiods(data_dir["subs"])
+        written = {
+            "report": emit_report(run_analysis(panel, subs), tmp_path / "report"),
+            "communities": emit_communities(community_structure(panel, subs),
+                                            tmp_path / "communities"),
+            "csad": emit_csad(csad(log_returns(panel)), tmp_path / "csad"),
+        }
+        for kind, paths in written.items():
+            out = tmp_path / kind
+            swept = {p for pattern in _REPORT_PATTERNS for p in out.glob(pattern)}
+            assert paths and set(paths) == swept == set(out.iterdir()), kind

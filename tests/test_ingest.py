@@ -582,6 +582,20 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="'a b' and 'a_b'"):
             read_subperiods(path)
 
+    @pytest.mark.parametrize("reader, good", [
+        (read_sector_map, b"AAA stock Energy\n"),
+        (read_subperiods, b"a,2019-01-01,2019-02-01\n")])
+    @pytest.mark.parametrize("before, line_no", [
+        (b"", 1), (b"# ok\n", 2), (b"# ok\r\n\n", 3), (b"# ok\n# caf", 2)])
+    def test_non_utf8_byte_is_config_error(self, tmp_path, reader, good,
+                                           before, line_no):
+        # a latin-1 comment; the error names the line that holds the byte
+        path = tmp_path / "config"
+        path.write_bytes(before + b"\xe9\n" + good)
+        with pytest.raises(ConfigError) as err:
+            reader(path)
+        assert str(err.value).startswith(f"{path}:{line_no}: not UTF-8")
+
 
 class TestPanelInvariants:
     def test_requires_two_assets(self):
