@@ -39,7 +39,6 @@ from .pipeline import (
     emit_report,
     load_panel,
     run_analysis,
-    thread_cap,
 )
 from .returns import csad, log_returns
 
@@ -170,7 +169,6 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        thread_cap()  # a bad HERDSCAN_THREADS fails before any file is read
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"herdscan: config error: {exc}", file=sys.stderr)

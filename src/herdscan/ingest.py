@@ -843,16 +843,18 @@ def slice_panel(panel: AlignedPanel, sub: SubPeriod) -> AlignedPanel:
 def _config_lines(path: Path, what: str) -> Iterator[tuple[str, str]]:
     """(``path:line``, body) of each line of a config file that is not blank
     once its ``#`` comment is cut. The file is UTF-8 whatever the locale; an
-    unreadable file or a byte that is not UTF-8 is a ConfigError."""
+    unreadable file or a byte that is not UTF-8 is a ConfigError. A leading
+    byte-order mark is skipped."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # the line that holds the bad byte: lines before it, plus its own
-        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        # (exc.object is the data after the byte-order mark, if there is one)
+        line_no = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise ConfigError(f"{path}:{line_no}: not UTF-8 ({exc.reason})") from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

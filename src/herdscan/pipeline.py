@@ -9,17 +9,14 @@ assets, then cluster the whole cross-vehicle panel (correlations, spanning
 tree, community detection) and fit the regressions inside each community,
 with the community's own mean return as the market return.
 
-Sub-periods are independent work units, run one after another by default.
-``HERDSCAN_THREADS`` (an integer, default 1) is the worker count, for the
-library and the CLI alike; above 1 the sub-periods run in a thread pool of
-that size. The reports are the same bytes either way. Measured on a 2-core
-x86-64 machine over three benchmark workloads, two workers were no faster
-end to end than one (and 1.6 times slower on many short sub-periods), and
-one worker used 20-28 % less peak memory. Report files are
-byte-deterministic for a given input and configuration, so wall-clock
-timings never go into them; the CLI logs them instead. The three CLI
-commands' files are written by the ``emit_*`` functions, all through
-``_emit``, which also deletes other commands' and earlier runs' files.
+Sub-periods are independent work units, run one after another in one loop:
+on a 2-core x86-64 machine a thread pool over them was no faster end to end
+on three benchmark workloads (1.6 times slower on many short sub-periods)
+and used 20-28 % more peak memory. Report files are byte-deterministic for
+a given input and configuration, so wall-clock timings never go into them;
+the CLI logs them instead. The three CLI commands' files are written by the
+``emit_*`` functions, all through ``_emit``, which first deletes other
+commands' and earlier runs' files.
 
 While the sub-periods run, numpy's bundled OpenBLAS is held at one thread
 (``_one_blas_thread``). From 100 assets up, the correlation product wakes
@@ -34,10 +31,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
-import os
 import threading
 import time as time_mod
-from concurrent.futures import ThreadPoolExecutor
+# Unused here; bench/tracer.py swaps it for a tracing pool under --trace 1.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -151,28 +148,11 @@ class AnalysisRun:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-# --- parallel helpers --------------------------------------------------------
+# --- threads -------------------------------------------------------------------
 
 def thread_cap() -> int:
-    """Worker count: ``HERDSCAN_THREADS`` (an integer >= 1), else 1."""
-    raw = os.environ.get("HERDSCAN_THREADS")
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"HERDSCAN_THREADS={raw!r} is not an integer") from None
-        if cap < 1:
-            raise ConfigError("HERDSCAN_THREADS must be >= 1")
-        return cap
+    """Sub-period workers: always 1 (bench/run.py records it per machine)."""
     return 1
-
-
-def _map_units(fn: Callable, units: Sequence) -> list:
-    workers = min(thread_cap(), len(units))
-    if workers <= 1:
-        return [fn(u) for u in units]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, units))
 
 
 #: (get, set) symbol pairs of OpenBLAS's thread count, first match wins:
@@ -372,7 +352,7 @@ def _sub_pass(panel: AlignedPanel, subs: Sequence[SubPeriod],
 
     _check_report_names(sub.name for sub in subs)  # no two may share report files
     with _one_blas_thread():
-        return _map_units(one, [*subs, full_subperiod(panel)])
+        return [one(sub) for sub in [*subs, full_subperiod(panel)]]
 
 
 def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
@@ -645,29 +625,29 @@ def _mst_csv(tree: SpanningTree | None) -> str:
 
 
 #: Names of the files the ``emit_*`` functions write, as ``Path.glob``
-#: patterns. Each deletes every such file it did not write, so an output
+#: patterns. Each deletes every such file before it writes, so an output
 #: directory holds one command's files, whichever command wrote it before.
 _REPORT_PATTERNS = ("run.json", "verdicts.csv", "communities_*.csv",
                     "plotdata_*.csv", "mst_*.csv", "partition_*.csv", "csad.csv")
 
 
 def _emit(out_dir: Path | str, files: Mapping[str, str]) -> list[Path]:
-    """Write each ``name -> text`` of ``files`` into ``out_dir`` as UTF-8, then
-    delete the files there named like ``_REPORT_PATTERNS`` that it did not
-    write. Returns the written paths; IoFailure names the path that failed.
+    """Delete the files in ``out_dir`` named like ``_REPORT_PATTERNS``, then
+    write each ``name -> text`` of ``files`` there as UTF-8, so a write that
+    fails part-way leaves no earlier run's file beside the new ones. Returns
+    the written paths; IoFailure names the path that failed.
     """
     out_dir = Path(out_dir)
     target = out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        stale = [path for pattern in _REPORT_PATTERNS for path in out_dir.glob(pattern)
+                 if path.is_file()]
+        for target in stale:
+            target.unlink()
         for name, text in files.items():
             target = out_dir / name
             target.write_text(text, encoding="utf-8", newline="")
-        target = out_dir
-        stale = [path for pattern in _REPORT_PATTERNS for path in out_dir.glob(pattern)
-                 if path.name not in files and path.is_file()]
-        for target in stale:
-            target.unlink()
     except OSError as exc:
         raise IoFailure(target, exc) from None
     return [out_dir / name for name in files]
@@ -677,9 +657,9 @@ def emit_report(run: AnalysisRun, out_dir: Path | str) -> list[Path]:
     """Write run.json plus the per-sub-period CSV set; returns the paths.
 
     Outputs are byte-deterministic for identical input and config; the
-    run.json ``timings`` key is always null. Afterwards any other file in
-    ``out_dir`` named like a ``_REPORT_PATTERNS`` output, such as those of an
-    earlier run with other sub-periods, is deleted; other files stay.
+    run.json ``timings`` key is always null. First every file in ``out_dir``
+    named like a ``_REPORT_PATTERNS`` output, such as those of an earlier
+    run with other sub-periods, is deleted; other files stay.
     """
     files = {"run.json": json.dumps(_run_json(run), sort_keys=True, indent=2) + "\n"}
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 from datetime import date
 
 import numpy as np
@@ -586,7 +587,8 @@ class TestConfigFiles:
         (read_sector_map, b"AAA stock Energy\n"),
         (read_subperiods, b"a,2019-01-01,2019-02-01\n")])
     @pytest.mark.parametrize("before, line_no", [
-        (b"", 1), (b"# ok\n", 2), (b"# ok\r\n\n", 3), (b"# ok\n# caf", 2)])
+        (b"", 1), (b"# ok\n", 2), (b"# ok\r\n\n", 3), (b"# ok\n# caf", 2),
+        (codecs.BOM_UTF8, 1), (codecs.BOM_UTF8 + b"# ok\n", 2)])
     def test_non_utf8_byte_is_config_error(self, tmp_path, reader, good,
                                            before, line_no):
         # a latin-1 comment; the error names the line that holds the byte
@@ -595,6 +597,20 @@ class TestConfigFiles:
         with pytest.raises(ConfigError) as err:
             reader(path)
         assert str(err.value).startswith(f"{path}:{line_no}: not UTF-8")
+
+    # Windows editors start a UTF-8 file with a byte-order mark; it must not
+    # stick to the first entry
+    def test_sector_map_skips_byte_order_mark(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"AAA stock Energy\n")
+        assert read_sector_map(path) == {
+            "AAA": AssetMeta("AAA", Vehicle.STOCK, Sector.ENERGY)}
+
+    def test_subperiods_skip_byte_order_mark(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"pre,2019-01-01,2019-02-01\n")
+        assert read_subperiods(path) == (
+            SubPeriod("pre", date(2019, 1, 1), date(2019, 2, 1)),)
 
 
 class TestPanelInvariants:

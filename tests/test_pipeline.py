@@ -14,7 +14,13 @@ import pytest
 
 import herdscan
 from herdscan import ingest, pipeline
-from herdscan.errors import ConfigError, DataError, EmptyCommunity, ZeroVarianceAsset
+from herdscan.errors import (
+    ConfigError,
+    DataError,
+    EmptyCommunity,
+    IoFailure,
+    ZeroVarianceAsset,
+)
 from herdscan.ingest import AlignedPanel, AssetMeta, Sector, SubPeriod, Vehicle, slice_panel
 from herdscan.pipeline import (
     community_structure,
@@ -140,7 +146,6 @@ class TestRunPerVehicle:
 
         monkeypatch.setattr(pipeline, "slice_panel", counting_slice)
         monkeypatch.setattr(AlignedPanel, "restrict", counting_restrict)
-        monkeypatch.setenv("HERDSCAN_THREADS", "2")
         run = run_analysis(panel, subs, hac=hac)
         assert sorted(slices) == ["early", "empty", "full", "late"]
         assert restricts == []
@@ -246,13 +251,11 @@ ENTRY_POINTS = {f.__name__: f for f in (run_analysis, run_per_vehicle,
 
 class TestCombinedPass:
     @pytest.mark.parametrize("weights", ["unit", "similarity"])
-    def test_community_structure_matches_run_analysis(self, weights, monkeypatch):
+    def test_community_structure_matches_run_analysis(self, weights):
         panel, event, calm = twelve_asset_run_inputs()
         empty = SubPeriod("empty", date(2030, 1, 1), date(2030, 1, 2))
         subs = [event, empty, calm]
-        monkeypatch.setenv("HERDSCAN_THREADS", "1")
         run = run_analysis(panel, subs, louvain_weights=weights)
-        monkeypatch.setenv("HERDSCAN_THREADS", "2")
         structures = community_structure(panel, subs, louvain_weights=weights)
         assert tuple(structures) == run.sub_names == ("event", "empty", "calm",
                                                       "full")
@@ -496,11 +499,25 @@ class TestEmitReport:
         assert len(lines) - 1 == 12 - 1  # n-1 edges for 12 assets
 
     def test_unwritable_target_is_io_failure(self, small_run, tmp_path):
-        from herdscan.errors import IoFailure
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
         with pytest.raises(IoFailure):
             emit_report(small_run, blocker / "out")
+
+    def test_failed_write_leaves_no_earlier_report(self, tmp_path):
+        # the earlier run's files go before the first write, so a write that
+        # fails part-way leaves only the new run's files written so far
+        panel, event, calm = vehicle_event_panel(4, n_per_vehicle=4,
+                                                 event_bars=650,
+                                                 calm_bars=350)
+        emit_report(run_analysis(panel, [event, calm]), tmp_path)
+        (tmp_path / "mst_spike.csv").mkdir()
+        spike = SubPeriod("spike", event.start, event.end)
+        with pytest.raises(IoFailure, match="mst_spike.csv"):
+            emit_report(run_analysis(panel, [spike]), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
+            "communities_spike.csv", "plotdata_spike.csv", "run.json",
+            "verdicts.csv"]
 
 
 def write_bar_files(panel, directory, extra_rows=()):
@@ -565,19 +582,9 @@ class TestLoadPanel:
 
 
 class TestThreadCap:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HERDSCAN_THREADS", "3")
-        assert thread_cap() == 3
-
     def test_default_is_one(self, monkeypatch):
         monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
         assert thread_cap() == 1
-
-    @pytest.mark.parametrize("raw", ["zero", "", "0", "-1"])
-    def test_invalid_env(self, monkeypatch, raw):
-        monkeypatch.setenv("HERDSCAN_THREADS", raw)
-        with pytest.raises(ConfigError, match="HERDSCAN_THREADS"):
-            thread_cap()
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -593,32 +600,15 @@ class TestThreadCap:
         return pools
 
     def test_default_runs_serially(self, monkeypatch, pools):
+        # nothing reads HERDSCAN_THREADS: the sub-period pass is serial
         panel, event, calm = vehicle_event_panel(6, n_per_vehicle=4,
                                                  event_bars=650,
                                                  calm_bars=350)
-        monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
+        monkeypatch.setenv("HERDSCAN_THREADS", "2")
         run = run_analysis(panel, [event, calm])
         assert run.sub_names == ("event", "calm", "full")
         assert pools == []
-
-    def test_parallel_matches_serial(self, monkeypatch, tmp_path, pools):
-        panel, event, calm = vehicle_event_panel(6, n_per_vehicle=4,
-                                                 event_bars=650,
-                                                 calm_bars=350)
-        runs = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("HERDSCAN_THREADS", threads)
-            runs[threads] = run_analysis(panel, [event, calm])
-            emit_report(runs[threads], tmp_path / threads)
-            # one pool per run, over the sub-periods
-            assert len(pools) == (0 if threads == "1" else 1)
-        assert runs["1"].per_vehicle == runs["2"].per_vehicle
-        one, two = tmp_path / "1", tmp_path / "2"
-        files = sorted(p.name for p in one.iterdir())
-        assert files == sorted(p.name for p in two.iterdir())
-        assert len(files) == 2 + 3 * 3  # run.json, verdicts.csv, 3 per period
-        for name in files:
-            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        assert thread_cap() == 1
 
 
 def quarter_subperiods(panel: AlignedPanel) -> list[SubPeriod]:
@@ -634,11 +624,10 @@ needs_numpy_openblas = pytest.mark.skipif(
 
 class TestOneBlasThread:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
-    def test_pass_leaves_no_blas_worker_spinning(self, monkeypatch):
+    def test_pass_leaves_no_blas_worker_spinning(self):
         # From 100 assets np.corrcoef wakes OpenBLAS's worker thread, which
         # then spins a core for about 0.13 s; five periods of that used
         # about twice as much CPU as wall time on 2 cores.
-        monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
         panel = random_walk_panel(3, 150, 2600)
         subs = quarter_subperiods(panel)
         run_analysis(panel, subs)
@@ -671,19 +660,14 @@ class TestOneBlasThread:
         return counts
 
     @needs_numpy_openblas
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_count_restored_after_a_run(self, monkeypatch, blas_threads,
-                                        counts_in_pass, workers):
-        monkeypatch.setenv("HERDSCAN_THREADS", workers)
+    def test_count_restored_after_a_run(self, blas_threads, counts_in_pass):
         panel = random_walk_panel(4, 6, 260)
         run_analysis(panel, quarter_subperiods(panel))
         assert counts_in_pass == [1] * 5
         assert blas_threads() == 2
 
     @needs_numpy_openblas
-    def test_count_restored_after_a_failed_run(self, monkeypatch, blas_threads,
-                                               counts_in_pass):
-        monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
+    def test_count_restored_after_a_failed_run(self, blas_threads, counts_in_pass):
         panel = random_walk_panel(4, 6, 260)
         panel.prices[2] = 50.0  # a constant price: no correlation to take
         with pytest.raises(ZeroVarianceAsset):
