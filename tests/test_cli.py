@@ -239,6 +239,25 @@ def test_unknown_time_zone_is_config_error(data_dir, tmp_path, command, capsys):
     assert "unknown time zone 'Not/AZone'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "communities", "csad"])
+def test_thread_env_changes_no_output(data_dir, tmp_path, monkeypatch, command):
+    # no command reads HERDSCAN_THREADS, so even a value that is not a
+    # number neither stops a run nor changes a byte of its output
+    args = [command, "--data-dir", str(data_dir["bars"]),
+            "--sectors", str(data_dir["sectors"])]
+    if command != "csad":
+        args += ["--subperiods", str(data_dir["subs"])]
+    plain, with_env = tmp_path / "plain", tmp_path / "env"
+    monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
+    assert main([*args, "--out", str(plain)]) == 0
+    monkeypatch.setenv("HERDSCAN_THREADS", "zero")
+    assert main([*args, "--out", str(with_env)]) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in with_env.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (with_env / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("command, flag, text, message", [
     ("analyze", "--subperiods", b"event,2019-04-01\n", ":1: expected 'name,start,end'"),
     ("communities", "--subperiods", b"event,2019-04-01\n",

@@ -586,6 +586,12 @@ class TestThreadCap:
         monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
         assert thread_cap() == 1
 
+    # values that once set or were refused as the pool size now change nothing
+    @pytest.mark.parametrize("raw", ["3", "zero", "", "0", "-1"])
+    def test_env_is_ignored(self, monkeypatch, raw):
+        monkeypatch.setenv("HERDSCAN_THREADS", raw)
+        assert thread_cap() == 1
+
     @pytest.fixture
     def pools(self, monkeypatch):
         """The thread pools ``pipeline`` creates while the test runs."""
