@@ -116,12 +116,12 @@ def _load(args):
     log.info("loaded %d assets x %d bars in %.2fs (%d rejected: %s)",
              len(panel.assets), panel.grid.size, elapsed,
              len(rejected), ",".join(rejected) or "-")
-    return panel, elapsed
+    return panel
 
 
 def _cmd_analyze(args) -> int:
     subs = read_subperiods(args.subperiods)
-    panel, load_seconds = _load(args)
+    panel = _load(args)
     if args.vehicle != "all":
         wanted = Vehicle.parse(args.vehicle)
         tickers = [a.ticker for a in panel.assets if a.vehicle is wanted]
@@ -135,7 +135,6 @@ def _cmd_analyze(args) -> int:
         beta_proxy=args.beta_proxy, hac=args.hac,
         config_extra={"tz": args.tz, "vehicle_filter": args.vehicle},
     )
-    run.timings["load"] = load_seconds
     files = emit_report(run, args.out)
     log.info("timings: %s", {k: round(v, 3) for k, v in run.timings.items()})
     log.info("wrote %d files to %s", len(files), args.out)
@@ -144,7 +143,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_communities(args) -> int:
     subs = read_subperiods(args.subperiods)
-    panel, _ = _load(args)
+    panel = _load(args)
     structures = community_structure(panel, subs,
                                      louvain_weights=args.louvain_weights)
     emit_communities(structures, args.out)
@@ -153,7 +152,7 @@ def _cmd_communities(args) -> int:
 
 
 def _cmd_csad(args) -> int:
-    panel, _ = _load(args)
+    panel = _load(args)
     series = csad(log_returns(panel))
     emit_csad(series, args.out)
     log.info("wrote csad series (%d rows) to %s", len(series), args.out)

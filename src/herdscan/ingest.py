@@ -873,7 +873,11 @@ def read_sector_map(path: Path | str) -> dict[str, AssetMeta]:
         ticker = parts[0].upper()
         if ticker in out:
             raise ConfigError(f"{where}: duplicate ticker {ticker}")
-        out[ticker] = AssetMeta(ticker, Vehicle.parse(parts[1]), Sector.parse(parts[2]))
+        try:
+            out[ticker] = AssetMeta(ticker, Vehicle.parse(parts[1]),
+                                    Sector.parse(parts[2]))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if not out:
         raise ConfigError(f"sector map {path} is empty")
     return out
@@ -888,9 +892,9 @@ def read_subperiods(path: Path | str) -> tuple[SubPeriod, ...]:
         if len(parts) != 3:
             raise ConfigError(f"{where}: expected 'name,start,end'")
         try:
-            start, end = date.fromisoformat(parts[1]), date.fromisoformat(parts[2])
-        except ValueError as exc:
+            subs.append(SubPeriod(parts[0], date.fromisoformat(parts[1]),
+                                  date.fromisoformat(parts[2])))
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        subs.append(SubPeriod(parts[0], start, end))
     _check_report_names((s.name for s in subs), where=f"{path}: ")
     return tuple(subs)

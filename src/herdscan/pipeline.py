@@ -2,12 +2,14 @@
 and emit deterministic reports.
 
 One chain runs over every configured sub-period plus the implicit "full"
-period, for all four entry points (``run_analysis``, ``run_per_vehicle``,
-``run_combined``, ``community_structure``): slice the panel and take log
-returns once, fit the dispersion regressions on each vehicle class's
-assets, then cluster the whole cross-vehicle panel (correlations, spanning
-tree, community detection) and fit the regressions inside each community,
-with the community's own mean return as the market return.
+period: slice the panel and take log returns once, fit the dispersion
+regressions on each vehicle class's assets, then cluster the whole
+cross-vehicle panel (correlations, spanning tree, community detection) and
+fit the regressions inside each community, with the community's own mean
+return as the market return. Each of the four entry points
+(``run_analysis``, ``run_per_vehicle``, ``run_combined``,
+``community_structure``) loops over one generator of per-period returns,
+``_period_returns``, and runs the steps it reports.
 
 Sub-periods are independent work units, run one after another in one loop:
 on a 2-core x86-64 machine a thread pool over them was no faster end to end
@@ -19,11 +21,8 @@ the CLI logs them instead. The three CLI commands' files are written by the
 commands' and earlier runs' files.
 
 While the sub-periods run, numpy's bundled OpenBLAS is held at one thread
-(``_one_blas_thread``). From 100 assets up, the correlation product wakes
-its worker thread, which then spins a full core for about 0.13 s waiting
-for more work; on a 2-core x86-64 machine that was 40 % of the CPU time of
-a 1000-asset run, for no gain in wall time. On one thread the reports also
-no longer depend on ``OPENBLAS_NUM_THREADS`` or the CPU count.
+(``_one_blas_thread`` says why); the reports then do not depend on
+``OPENBLAS_NUM_THREADS`` or the CPU count.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import time as time_mod
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -200,6 +199,17 @@ _blas_saved = 0
 def _one_blas_thread() -> Iterator[None]:
     """Run the block with numpy's OpenBLAS on one thread, then restore its count.
 
+    Each entry point runs its sub-period loop in such a block. The threaded
+    BLAS call there is the correlation product of ``pearson_matrix`` (a
+    ``syrk``, which OpenBLAS hands to its worker thread from 100 assets up),
+    and the woken worker then spins a full core for about 0.13 s waiting for
+    more work. On a 2-core x86-64 machine each ``np.corrcoef`` of 100, 219
+    or 1000 assets was followed by 0.13-0.14 s of extra CPU (none at 60
+    assets), and the threaded 1000 x 2600 product saved only 0.015 s of wall
+    time. It also rounded 60-260 correlations of a 100-300-asset panel
+    differently in the last bit, which now and then moved a digit of a
+    spanning-tree file.
+
     The count is process-wide: numpy BLAS calls from other threads also run
     on one thread while a block is open, and overlapping blocks (analyses
     run from several threads at once) restore it when the last one ends.
@@ -291,8 +301,27 @@ def _herding(cs: CsadSeries, *, hac: bool
         return None, _SKIP_REASONS[type(exc)]
 
 
-def _vehicle_cells(assets: Sequence[AssetMeta], hac: bool,
-                   rp: ReturnPanel | None, sub_name: str) -> list[VehicleCell]:
+def _period_returns(panel: AlignedPanel, subs: Sequence[SubPeriod]
+                    ) -> Iterator[tuple[str, ReturnPanel | None]]:
+    """(name, log returns) of every sub-period, then of the full period.
+
+    Each period is sliced and turned into log returns once, and the slice is
+    freed then; an empty slice gives None. Sub-periods whose reports would
+    share a file are a ConfigError, raised before any slice. The callers hold
+    the BLAS thread count, not this generator: after an error in a caller's
+    loop it stays suspended until the traceback is freed.
+    """
+    _check_report_names(sub.name for sub in subs)
+    for sub in [*subs, full_subperiod(panel)]:
+        try:
+            rp = log_returns(slice_panel(panel, sub))
+        except EmptySlice:
+            rp = None
+        yield sub.name, rp
+
+
+def _vehicle_cells(assets: Sequence[AssetMeta], rp: ReturnPanel | None,
+                   sub_name: str, hac: bool) -> list[VehicleCell]:
     """One cell per vehicle from a sub-period's returns (None: an empty slice)."""
     cells = []
     for vehicle in sorted({a.vehicle for a in assets}, key=lambda v: v.value):
@@ -310,51 +339,6 @@ def _vehicle_cells(assets: Sequence[AssetMeta], hac: bool,
     return cells
 
 
-def _structure(louvain_weights: str, regress: Callable | None,
-               rp: ReturnPanel | None, sub_name: str) -> tuple:
-    """(spanning tree, partition, community reports) of a sub-period's returns."""
-    if rp is None:
-        return None, None, ()
-    tree = mst(to_distance(pearson_matrix(rp)))
-    partition = louvain(graph_from_tree(tree, louvain_weights))
-    reports = regress(rp, partition, sub_name) if regress else ()
-    return tree, partition, reports
-
-
-def _sub_pass(panel: AlignedPanel, subs: Sequence[SubPeriod],
-              vehicles: Callable | None, structure: Callable | None) -> list[tuple]:
-    """(name, vehicle cells, tree, partition, community reports) per sub-period.
-
-    Every sub-period, and the full period, is sliced and turned into log
-    returns once (the slice is freed then); the vehicle cells and then the
-    community structure are fitted from those returns.
-
-    The pass runs with numpy's OpenBLAS on one thread. Its threaded call
-    here is the correlation product of ``pearson_matrix`` (a ``syrk``, which
-    OpenBLAS hands to its worker thread from 100 assets up), and the woken
-    worker then spins a full core for about 0.13 s waiting for more work. On
-    a 2-core x86-64 machine each ``np.corrcoef`` of 100, 219 or 1000 assets
-    was followed by 0.13-0.14 s of extra CPU (none at 60 assets), and the
-    threaded 1000 x 2600 product saved only 0.015 s of wall time. It also
-    rounded 60-260 correlations of a 100-300-asset panel differently in the
-    last bit, which now and then moved a digit of a spanning-tree file. numpy
-    BLAS calls made by other threads while a pass runs also run on one
-    thread.
-    """
-    def one(sub: SubPeriod) -> tuple:
-        try:
-            rp = log_returns(slice_panel(panel, sub))
-        except EmptySlice:
-            rp = None
-        cells = vehicles(rp, sub.name) if vehicles else []
-        return (sub.name, cells,
-                *(structure(rp, sub.name) if structure else (None, None, ())))
-
-    _check_report_names(sub.name for sub in subs)  # no two may share report files
-    with _one_blas_thread():
-        return [one(sub) for sub in [*subs, full_subperiod(panel)]]
-
-
 def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                     hac: bool = False) -> dict[tuple[Vehicle, str], VehicleCell]:
     """Herding verdicts per (vehicle, sub-period), plus the full period.
@@ -363,8 +347,10 @@ def run_per_vehicle(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
     assets gets ``too_few_assets`` cells. To analyze one vehicle, restrict
     the panel to its assets first.
     """
-    results = _sub_pass(panel, subs, partial(_vehicle_cells, panel.assets, hac), None)
-    return {(c.vehicle, c.sub_period): c for _, cells, *_ in results for c in cells}
+    with _one_blas_thread():
+        return {(c.vehicle, c.sub_period): c
+                for name, rp in _period_returns(panel, subs)
+                for c in _vehicle_cells(panel.assets, rp, name, hac)}
 
 
 # --- communities ------------------------------------------------------------------
@@ -381,10 +367,22 @@ def sector_distribution(members: Sequence[AssetMeta]) -> dict[Sector, float]:
             for sector in sorted(counts, key=lambda s: s.value)}
 
 
-def _community_reports(rp: ReturnPanel, partition: Partition, sub_name: str, *,
-                       min_community_size: int, hac: bool
+def _structure(rp: ReturnPanel | None, louvain_weights: str
+               ) -> tuple[SpanningTree | None, Partition | None]:
+    """Spanning tree and partition of a sub-period's returns (None: an empty slice)."""
+    if rp is None:
+        return None, None
+    tree = mst(to_distance(pearson_matrix(rp)))
+    return tree, louvain(graph_from_tree(tree, louvain_weights))
+
+
+def _community_reports(rp: ReturnPanel | None, partition: Partition | None,
+                       sub_name: str, min_community_size: int, hac: bool
                        ) -> tuple[CommunityReport, ...]:
-    """Sector mix and herding verdict of every community of a partition."""
+    """Sector mix and herding verdict of every community of a partition
+    (none for an empty slice)."""
+    if partition is None:
+        return ()
     meta_by_ticker = {a.ticker: a for a in rp.assets}
     reports: list[CommunityReport] = []
     for cid, members in enumerate(partition.communities):
@@ -398,19 +396,14 @@ def _community_reports(rp: ReturnPanel, partition: Partition, sub_name: str, *,
     return tuple(reports)
 
 
-def _regressions(min_community_size: int, hac: bool) -> Callable:
-    """``_community_reports`` with its options checked and bound."""
-    if min_community_size < 2:
-        raise ConfigError("min_community_size must be at least 2")
-    return partial(_community_reports, min_community_size=min_community_size,
-                   hac=hac)
-
-
-def _check_weighting(louvain_weights: str) -> None:
-    """ConfigError unless ``louvain_weights`` names a known edge weighting."""
+def _check_communities(louvain_weights: str, min_community_size: int = 2) -> None:
+    """ConfigError unless ``louvain_weights`` names a known edge weighting and
+    ``min_community_size`` is at least 2."""
     if louvain_weights not in LOUVAIN_WEIGHTINGS:
         raise ConfigError(f"louvain_weights must be one of {LOUVAIN_WEIGHTINGS},"
                           f" got {louvain_weights!r}")
+    if min_community_size < 2:
+        raise ConfigError("min_community_size must be at least 2")
 
 
 def _check_proxy(panel: AlignedPanel, proxy: str | None) -> None:
@@ -424,21 +417,26 @@ def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  louvain_weights: str = "unit", hac: bool = False,
                  ) -> dict[str, tuple[CommunityReport, ...]]:
     """Community detection plus per-community herding for every sub-period."""
-    _check_weighting(louvain_weights)
-    regress = _regressions(min_community_size, hac)
+    _check_communities(louvain_weights, min_community_size)
     if len(panel.assets) < 3:
         raise DataError("combined analysis needs at least 3 assets")
-    return {name: reports for name, _, _, _, reports in _sub_pass(
-        panel, subs, None, partial(_structure, louvain_weights, regress))}
+    combined = {}
+    with _one_blas_thread():
+        for name, rp in _period_returns(panel, subs):
+            _, partition = _structure(rp, louvain_weights)
+            combined[name] = _community_reports(rp, partition, name,
+                                                min_community_size, hac)
+    return combined
 
 
 def community_structure(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                         louvain_weights: str = "unit",
                         ) -> dict[str, tuple[SpanningTree | None, Partition | None]]:
     """Spanning tree and partition only (no regressions) per sub-period."""
-    _check_weighting(louvain_weights)
-    return {name: (tree, partition) for name, _, tree, partition, _ in _sub_pass(
-        panel, subs, None, partial(_structure, louvain_weights, None))}
+    _check_communities(louvain_weights)
+    with _one_blas_thread():
+        return {name: _structure(rp, louvain_weights)
+                for name, rp in _period_returns(panel, subs)}
 
 
 # --- betas ------------------------------------------------------------------------
@@ -481,9 +479,8 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
     Every vehicle in the panel is analyzed (``"vehicles": "all"`` in the
     config); ``min_obs`` and ``min_regime`` record the econometrics floors.
     """
-    _check_weighting(louvain_weights)
+    _check_communities(louvain_weights, min_community_size)
     _check_proxy(panel, beta_proxy)
-    regress = _regressions(min_community_size, hac)
     config = {
         "schema_version": SCHEMA_VERSION,
         "n_assets": len(panel.assets),
@@ -507,12 +504,14 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
 
     timings: dict[str, float] = {}
     t0 = time_mod.perf_counter()
-    results = _sub_pass(panel, subs, partial(_vehicle_cells, panel.assets, hac),
-                        partial(_structure, louvain_weights, regress))
-    per_vehicle = {(c.vehicle, c.sub_period): c for _, cells, *_ in results
-                   for c in cells}
-    combined = {name: reports for name, _, _, _, reports in results}
-    trees = {name: tree for name, _, tree, _, _ in results}
+    per_vehicle, combined, trees = {}, {}, {}
+    with _one_blas_thread():
+        for name, rp in _period_returns(panel, subs):
+            for c in _vehicle_cells(panel.assets, rp, name, hac):
+                per_vehicle[c.vehicle, c.sub_period] = c
+            trees[name], partition = _structure(rp, louvain_weights)
+            combined[name] = _community_reports(rp, partition, name,
+                                                min_community_size, hac)
     timings["subperiods"] = time_mod.perf_counter() - t0
 
     t1 = time_mod.perf_counter()
@@ -599,19 +598,17 @@ def _run_json(run: AnalysisRun) -> dict:
     }
 
 
+#: The verdict columns of the CSV reports, in ``_verdict_dict``'s key order.
 _VERDICT_COLUMNS = ["beta2", "beta2_sig", "gamma2", "gamma2_sig",
                     "gamma3", "gamma3_sig", "herding_overall", "herding_up",
                     "herding_down", "herding_any"]
 
 
 def _verdict_fields(v: HerdingVerdict | None) -> list[str]:
+    """The ``_VERDICT_COLUMNS`` cells: the first values of ``_verdict_dict``."""
     if v is None:
         return [""] * len(_VERDICT_COLUMNS)
-    return [_fmt(v.beta2), v.beta2_significance.value,
-            _fmt(v.gamma2), v.gamma2_significance.value,
-            _fmt(v.gamma3), v.gamma3_significance.value,
-            _fmt(v.herding_overall), _fmt(v.herding_up),
-            _fmt(v.herding_down), _fmt(v.herding_any)]
+    return [_fmt(x) for x in list(_verdict_dict(v).values())[:len(_VERDICT_COLUMNS)]]
 
 
 def _mst_csv(tree: SpanningTree | None) -> str:
@@ -678,19 +675,18 @@ def emit_report(run: AnalysisRun, out_dir: Path | str) -> list[Path]:
             lines.append(",".join(row))
     files["verdicts.csv"] = "\n".join(lines) + "\n"
 
-    sectors = [s.value for s in sorted(Sector, key=lambda s: s.value)]
+    sectors = sorted(Sector, key=lambda s: s.value)
     for sub in run.sub_names:
         slug = file_slug(sub)
         reports = run.combined.get(sub, ())
 
         lines = ["community_id,size,members," + ",".join(_VERDICT_COLUMNS)
-                 + ",skipped_reason," + ",".join(f"sector_{s}" for s in sectors)]
+                 + ",skipped_reason," + ",".join(f"sector_{s.value}" for s in sectors)]
         for r in reports:
             row = [str(r.community_id), str(len(r.members)), ";".join(r.members)]
             row += _verdict_fields(r.verdict)
             row.append(r.skipped_reason or "")
-            row += [_fmt(float(r.sector_distribution.get(s, 0.0)))
-                    for s in sorted(Sector, key=lambda s: s.value)]
+            row += [_fmt(float(r.sector_distribution.get(s, 0.0))) for s in sectors]
             lines.append(",".join(row))
         files[f"communities_{slug}.csv"] = "\n".join(lines) + "\n"
 

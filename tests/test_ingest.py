@@ -561,6 +561,19 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             read_sector_map(path)
 
+    @pytest.mark.parametrize("reader,line,message", [
+        (read_sector_map, "BBB bond Energy", "unknown vehicle 'bond'"),
+        (read_sector_map, "BTC stock Crypto",
+         "BTC: crypto vehicle and Crypto sector must coincide"),
+        (read_subperiods, "b,2019-05-01,2019-04-01", "sub-period b: start after end"),
+        (read_subperiods, " ,2019-04-01,2019-04-30", "sub-period name must be non-empty"),
+    ], ids=["vehicle", "sector", "start_after_end", "empty_name"])
+    def test_bad_entry_names_file_and_line(self, tmp_path, reader, line, message):
+        path = write_csv(tmp_path, "c.txt", f"# header\n{line}\n")
+        with pytest.raises(ConfigError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}:2: {message}"
+
     def test_subperiods_reserved_name(self, tmp_path):
         path = write_csv(tmp_path, "p.csv", "full,2019-01-01,2019-02-01\n")
         with pytest.raises(ConfigError):

@@ -252,20 +252,26 @@ ENTRY_POINTS = {f.__name__: f for f in (run_analysis, run_per_vehicle,
 class TestCombinedPass:
     @pytest.mark.parametrize("weights", ["unit", "similarity"])
     def test_community_structure_matches_run_analysis(self, weights):
+        # each entry point runs its own loop over the sub-periods
         panel, event, calm = twelve_asset_run_inputs()
         empty = SubPeriod("empty", date(2030, 1, 1), date(2030, 1, 2))
         subs = [event, empty, calm]
-        run = run_analysis(panel, subs, louvain_weights=weights)
         structures = community_structure(panel, subs, louvain_weights=weights)
-        assert tuple(structures) == run.sub_names == ("event", "empty", "calm",
-                                                      "full")
-        assert structures["empty"] == (None, None)
-        assert run.trees["empty"] is None and run.combined["empty"] == ()
-        for name, (tree, partition) in structures.items():
-            assert tree == run.trees[name]
-            reported = {t: r.community_id for r in run.combined[name]
-                        for t in r.members}
-            assert (dict(partition.assignment) if partition else {}) == reported
+        for hac in (False, True):
+            run = run_analysis(panel, subs, louvain_weights=weights, hac=hac)
+            assert (repr(run_per_vehicle(panel, subs, hac=hac))
+                    == repr(run.per_vehicle))
+            assert (repr(run_combined(panel, subs, louvain_weights=weights, hac=hac))
+                    == repr(run.combined))
+            assert tuple(structures) == run.sub_names == ("event", "empty", "calm",
+                                                          "full")
+            assert structures["empty"] == (None, None)
+            assert run.trees["empty"] is None and run.combined["empty"] == ()
+            for name, (tree, partition) in structures.items():
+                assert tree == run.trees[name]
+                reported = {t: r.community_id for r in run.combined[name]
+                            for t in r.members}
+                assert (dict(partition.assignment) if partition else {}) == reported
 
     @pytest.mark.parametrize("weights", ["unit", "similarity"])
     @pytest.mark.parametrize("make_panel", [
@@ -666,18 +672,23 @@ class TestOneBlasThread:
         return counts
 
     @needs_numpy_openblas
-    def test_count_restored_after_a_run(self, blas_threads, counts_in_pass):
+    @pytest.mark.parametrize("entry", ["run_analysis", "run_combined",
+                                       "community_structure"])
+    def test_count_restored_after_a_run(self, entry, blas_threads, counts_in_pass):
         panel = random_walk_panel(4, 6, 260)
-        run_analysis(panel, quarter_subperiods(panel))
+        ENTRY_POINTS[entry](panel, quarter_subperiods(panel))
         assert counts_in_pass == [1] * 5
         assert blas_threads() == 2
 
     @needs_numpy_openblas
-    def test_count_restored_after_a_failed_run(self, blas_threads, counts_in_pass):
+    @pytest.mark.parametrize("entry", ["run_analysis", "run_combined",
+                                       "community_structure"])
+    def test_count_restored_after_a_failed_run(self, entry, blas_threads,
+                                               counts_in_pass):
         panel = random_walk_panel(4, 6, 260)
         panel.prices[2] = 50.0  # a constant price: no correlation to take
         with pytest.raises(ZeroVarianceAsset):
-            run_analysis(panel, quarter_subperiods(panel))
+            ENTRY_POINTS[entry](panel, quarter_subperiods(panel))
         assert counts_in_pass == [1]
         assert blas_threads() == 2
 
