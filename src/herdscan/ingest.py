@@ -13,7 +13,11 @@ or space between date and time), each optionally with a ``Z`` suffix, are
 parsed in one numpy pass. Any other file, and any file with an error in
 it, goes through the row-by-row parser, which reads every ISO-8601 form
 ``datetime.fromisoformat`` accepts and reports errors with their line
-number. On the numpy pass, closes of up to 19 bytes, digits with at most
+number. On the numpy pass, each stamp must match its spelling's byte
+template (digits where digits go, ``T`` or space, the separators) before
+numpy's ``datetime64`` cast parses it and checks the calendar; year 0,
+which numpy reads and ``datetime`` does not, is left to the row parser (see
+``_fixed_width_seconds``). Closes of up to 19 bytes, digits with at most
 one dot, are converted by integer arithmetic to the same double ``float()`` gives (see
 ``_gather_floats``); other spellings take numpy's string cast.
 
@@ -287,24 +291,21 @@ def _check_report_names(names: Iterable[str], where: str = "") -> None:
 
 # --- CSV loading ------------------------------------------------------------
 
-def _zone(tz: str | None) -> ZoneInfo | None:
-    """The time zone named ``tz``; ConfigError if there is none by that name."""
-    if not tz:
-        return None
+def _zone(tz: str | None) -> ZoneInfo:
+    """The time zone named ``tz``, or the default zone if ``tz`` is empty;
+    ConfigError if there is none by that name."""
     try:
-        return ZoneInfo(tz)
+        return ZoneInfo(tz or DEFAULT_TIMEZONE)
     except (ZoneInfoNotFoundError, ValueError):
         raise ConfigError(f"unknown time zone {tz!r}") from None
 
 
-def _parse_timestamp(text: str, tz: ZoneInfo | None) -> datetime:
+def _parse_timestamp(text: str, tz: ZoneInfo) -> datetime:
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     dt = datetime.fromisoformat(raw)  # accepts "YYYY-MM-DD HH:MM" too
     if dt.tzinfo is not None:
-        if tz is None:
-            tz = ZoneInfo(DEFAULT_TIMEZONE)
         dt = dt.astimezone(tz).replace(tzinfo=None)
     return dt
 
@@ -403,14 +404,17 @@ def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
 _ROW_PARSER_BYTES = (b"\0", b"\r", b'"')
 #: Longest close field the fast path gathers; a float64 repr needs 24 bytes.
 _MAX_CLOSE_WIDTH = 32
-_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+#: The stamp spellings the fast path reads, one byte template per width:
+#: ``0`` stands for a digit, ``T`` for ``T`` or a space.
+_STAMP_TEMPLATES = {len(t): np.frombuffer(t.encode("ascii"), np.uint8) for t in (
+    "0000-00-00T00:00", "0000-00-00T00:00Z",
+    "0000-00-00T00:00:00", "0000-00-00T00:00:00Z")}
 #: UTC stamps the fast path converts: 1900-01-01 up to 2999-12-31.
 _FIRST_SAFE_SECOND = -2208988800
 _LAST_SAFE_SECOND = 32503680000 - 1
 
 
-def _parse_fast(data: bytes, zone: ZoneInfo | None
-                ) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_fast(data: bytes, zone: ZoneInfo) -> tuple[np.ndarray, np.ndarray] | None:
     """Sorted timestamps and closes of a bar file, or None for the row parser.
 
     Takes only files it reads exactly as ``_load_bars_rows`` does: ASCII,
@@ -460,7 +464,7 @@ def _parse_fast(data: bytes, zone: ZoneInfo | None
     if secs is None:
         return None
     if width in (17, 20):
-        secs = _utc_to_local(secs, zone or ZoneInfo(DEFAULT_TIMEZONE))
+        secs = _utc_to_local(secs, zone)
         if secs is None:
             return None
 
@@ -481,44 +485,33 @@ def _parse_fast(data: bytes, zone: ZoneInfo | None
 def _fixed_width_seconds(win: np.ndarray) -> np.ndarray | None:
     """Seconds since the epoch of ``YYYY-MM-DD[T ]HH:MM[:SS][Z]`` rows.
 
-    ``win`` holds one stamp per row as bytes. Returns None unless every
-    separator, digit and calendar field is valid.
+    ``win`` holds one stamp per row as bytes. Three checks, each of which
+    returns None if a row fails it: every row must fit the
+    ``_STAMP_TEMPLATES`` entry of its width byte for byte, which keeps out
+    the signs, spaces and suffixes numpy would also read; numpy's
+    ``datetime64`` cast must parse it, which checks the calendar fields; and
+    its year must not be 0, which numpy reads but ``datetime`` does not.
     """
-    width = win.shape[1]
-    with_seconds = width >= 19
-    valid = ((win[:, 4] == ord("-")) & (win[:, 7] == ord("-"))
-             & ((win[:, 10] == ord("T")) | (win[:, 10] == ord(" ")))
-             & (win[:, 13] == ord(":")))
-    if with_seconds:
-        valid &= win[:, 16] == ord(":")
-    if width in (17, 20):
-        valid &= win[:, -1] == ord("Z")
-    cols = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15] + ([17, 18] if with_seconds else [])
-    digits = win[:, cols] - np.uint8(ord("0"))  # bytes below "0" wrap past 9
-    valid &= (digits <= 9).all(axis=1)
-    # digit pairs (at most 99, so uint8 holds them) as one int64 row per
-    # field: the year's two halves, month, day, hour, minute[, second]
-    pairs = (digits[:, 0::2] * np.uint8(10) + digits[:, 1::2]).T
-    pairs = pairs.astype(np.int64, order="C")
-    high, low, month, day, hour, minute = pairs[:6]
-    second = pairs[6] if with_seconds else 0
-    year = high * 100 + low
-    # 4 divides 100, so the year is a multiple of 4 when ``low`` is, and of
-    # 400 when ``low`` is 0 and ``high`` a multiple of 4
-    leap = ((low & 3) == 0) & ((low != 0) | ((high & 3) == 0))
-    month_ok = (month >= 1) & (month <= 12)
-    days_in_month = _DAYS_IN_MONTH[np.where(month_ok, month - 1, 0)] + (leap & (month == 2))
-    valid &= (month_ok & (year >= 1) & (day >= 1) & (day <= days_in_month)
-              & (hour <= 23) & (minute <= 59) & (second <= 59))
-    if not valid.all():
+    template = _STAMP_TEMPLATES[win.shape[1]]
+    digit, any_byte = template == ord("0"), template == ord("T")
+    # each byte lies in [low, low + span] (bytes below ``low`` wrap past any
+    # span): a digit, the template's own byte, or anything at the separator,
+    # which is checked on its own
+    low = np.where(any_byte, 0, template).astype(np.uint8)
+    span = np.select([digit, any_byte], [9, 255]).astype(np.uint8)
+    separator = win[:, 10]
+    if ((win - low > span).any()
+            or not ((separator == ord("T")) | (separator == ord(" "))).all()):
         return None
-    # days from the civil date (H. Hinnant's algorithm), March-based years
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    return days * 86400 + hour * 3600 + minute * 60 + second
+    width = 19 if win.shape[1] >= 19 else 16  # without the "Z", which numpy warns about
+    text = win[:, :width].view(f"S{width}")[:, 0]
+    try:
+        stamps = text.astype("datetime64[s]")
+    except ValueError:
+        return None
+    if (stamps < np.datetime64("0001-01-01")).any():  # year 0
+        return None
+    return stamps.view(np.int64)
 
 
 def _utc_to_local(secs: np.ndarray, zone: ZoneInfo) -> np.ndarray | None:

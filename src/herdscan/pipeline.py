@@ -418,8 +418,6 @@ def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
                  ) -> dict[str, tuple[CommunityReport, ...]]:
     """Community detection plus per-community herding for every sub-period."""
     _check_communities(louvain_weights, min_community_size)
-    if len(panel.assets) < 3:
-        raise DataError("combined analysis needs at least 3 assets")
     combined = {}
     with _one_blas_thread():
         for name, rp in _period_returns(panel, subs):

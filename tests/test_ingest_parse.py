@@ -197,6 +197,14 @@ def test_utc_offsets_are_shared_across_files_and_zones(tmp_path):
     assert info.hits == 2 * n_days
 
 
+@pytest.mark.parametrize("parse", [load_bars, _load_bars_rows])
+@pytest.mark.parametrize("tz", [None, ""])
+def test_empty_zone_is_the_default_zone(tmp_path, parse, tz):
+    path = tmp_path / "X.csv"
+    path.write_text("".join(f"{SPELLINGS['utc'](t)},1.5\n" for t in utc_stamps()))
+    assert outcome(parse, path, tz) == outcome(parse, path, "America/New_York")
+
+
 def test_fall_back_hour_duplicate_is_left_to_row_parser(tmp_path):
     # 05:30Z and 06:30Z on 2019-11-03 are both 01:30 in New York
     path = tmp_path / "X.csv"
@@ -211,6 +219,8 @@ def test_fall_back_hour_duplicate_is_left_to_row_parser(tmp_path):
     "2019-00-10 09:30", "2019-04-00 09:30", "2019-04-01 24:00",
     "2019-04-01 09:60", "2019-04-01T09:30:60", "0000-04-01 09:30",
     "2019/04/01 09:30", "2019-04-01 09-30", "2019-04-0a 09:30",
+    # numpy alone reads these as the years 19, -19 and 19
+    "+019-04-01 09:30", "-019-04-01 09:30", " 019-04-01 09:30",
 ])
 def test_invalid_stamps_are_left_to_row_parser(tmp_path, stamp):
     good = "2019-04-01 09:00" if len(stamp) == 16 else "2019-04-01T09:00:00"
@@ -237,11 +247,12 @@ def epoch_seconds(t: datetime) -> int:
 @given(st.lists(st.datetimes(min_value=datetime(1, 1, 1),
                              max_value=datetime(9999, 12, 31, 23, 59, 59)),
                 min_size=1, max_size=20),
-       st.booleans())
+       st.booleans(), st.sampled_from("T "), st.sampled_from(["", "Z"]))
 @settings(max_examples=300, deadline=None)
-def test_stamp_seconds_match_datetime(instants, with_seconds):
+def test_stamp_seconds_match_datetime(instants, with_seconds, sep, suffix):
     # formatted by hand: strftime leaves years below 1000 unpadded on glibc
-    spelling = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}" + (":{:02d}" if with_seconds else "")
+    spelling = ("{:04d}-{:02d}-{:02d}" + sep + "{:02d}:{:02d}"
+                + (":{:02d}" if with_seconds else "") + suffix)
     texts = [spelling.format(t.year, t.month, t.day, t.hour, t.minute, t.second)
              for t in instants]
     expected = [epoch_seconds(t.replace(second=t.second if with_seconds else 0,

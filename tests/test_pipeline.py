@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from datetime import date, timedelta
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -235,11 +236,6 @@ class TestRunCombined:
         community_verdict = combined[0].verdict
         assert community_verdict == cell.verdict
 
-    def test_needs_three_assets(self):
-        panel = random_walk_panel(3, 2, 60)
-        with pytest.raises(DataError):
-            run_combined(panel, [])
-
 
 def twelve_asset_run_inputs():
     return vehicle_event_panel(4, n_per_vehicle=4, event_bars=650, calm_bars=350)
@@ -252,12 +248,14 @@ ENTRY_POINTS = {f.__name__: f for f in (run_analysis, run_per_vehicle,
 class TestCombinedPass:
     @pytest.mark.parametrize("weights", ["unit", "similarity"])
     def test_community_structure_matches_run_analysis(self, weights):
-        # each entry point runs its own loop over the sub-periods
-        panel, event, calm = twelve_asset_run_inputs()
+        # each entry point runs its own loop over the sub-periods; two assets
+        # make one community, skipped as below the minimum size
+        twelve, event, calm = twelve_asset_run_inputs()
         empty = SubPeriod("empty", date(2030, 1, 1), date(2030, 1, 2))
         subs = [event, empty, calm]
-        structures = community_structure(panel, subs, louvain_weights=weights)
-        for hac in (False, True):
+        for panel, hac in product((twelve, twelve.restrict(twelve.tickers[:2])),
+                                  (False, True)):
+            structures = community_structure(panel, subs, louvain_weights=weights)
             run = run_analysis(panel, subs, louvain_weights=weights, hac=hac)
             assert (repr(run_per_vehicle(panel, subs, hac=hac))
                     == repr(run.per_vehicle))
@@ -272,6 +270,9 @@ class TestCombinedPass:
                 reported = {t: r.community_id for r in run.combined[name]
                             for t in r.members}
                 assert (dict(partition.assignment) if partition else {}) == reported
+            if panel is not twelve:
+                assert ([(r.members, r.skipped_reason) for r in run.combined["full"]]
+                        == [(panel.tickers, "below_min_size")])
 
     @pytest.mark.parametrize("weights", ["unit", "similarity"])
     @pytest.mark.parametrize("make_panel", [
