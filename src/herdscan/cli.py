@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser("analyze", help="full analysis run")
     _add_common(analyze, sectors_required=True, subperiods=True)
-    analyze.add_argument("--vehicle", choices=["stock", "etf", "crypto", "all"],
+    analyze.add_argument("--vehicle", choices=[v.value for v in Vehicle] + ["all"],
                          default="all", help="restrict the panel to one vehicle")
     analyze.add_argument("--min-community-size", type=int,
                          default=DEFAULT_MIN_COMMUNITY_SIZE,

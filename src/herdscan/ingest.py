@@ -1,8 +1,9 @@
 """Intraday bar ingestion and panel alignment.
 
 Input is one CSV per asset, either ``timestamp,open,high,low,close,volume``
-or ``timestamp,close``; the first non-blank line may be a header. Only the
-close column is used. Timestamps are interpreted as exchange-local wall
+or ``timestamp,close``; the first non-blank line is a header if its first
+field is no timestamp and none of its fields a number, else it is data. Only
+the close column is used. Timestamps are interpreted as exchange-local wall
 clock (default zone America/New_York); tz-aware inputs are converted into
 that zone and the offset is dropped, so every downstream comparison is on
 one clock.
@@ -279,14 +280,16 @@ def file_slug(name: str) -> str:
 
 
 def _check_report_names(names: Iterable[str], where: str = "") -> None:
-    """ConfigError, after ``where``, if two periods (or one and ``full``) collide."""
-    seen = {file_slug(FULL_PERIOD): "the full period"}
+    """ConfigError, after ``where``, if two periods (or one and ``full``) would
+    write the same report files, also where their names differ only in case."""
+    seen = {file_slug(FULL_PERIOD).lower(): "the full period"}
     for name in names:
         slug = file_slug(name)
-        if slug in seen:
-            raise ConfigError(f"{where}{seen[slug]} and {name!r} would write the "
+        key = slug.lower()  # one file on a case-insensitive file system
+        if key in seen:
+            raise ConfigError(f"{where}{seen[key]} and {name!r} would write the "
                               f"same report files (*_{slug}.csv)")
-        seen[slug] = repr(name)
+        seen[key] = repr(name)
 
 
 # --- CSV loading ------------------------------------------------------------
@@ -310,13 +313,34 @@ def _parse_timestamp(text: str, tz: ZoneInfo) -> datetime:
     return dt
 
 
+def _is_header(fields: Sequence[str], zone: ZoneInfo) -> bool:
+    """Whether a file's first non-blank line, split into ``fields``, is a
+    header: its first field is no timestamp and none of its fields a number.
+
+    Any other first line is data, so a bad stamp there is a MalformedRow,
+    not a header that drops the row.
+    """
+    try:
+        _parse_timestamp(fields[0], zone)
+        return False
+    except ValueError:
+        pass
+    for f in fields:
+        try:
+            float(f)
+            return False
+        except ValueError:
+            pass
+    return True
+
+
 def load_bars(path: Path | str, ticker: str, *,
               tz: str | None = DEFAULT_TIMEZONE) -> RawSeries:
     """Parse one bar CSV into a RawSeries of closes, sorted ascending.
 
     Accepts 6-column OHLCV or 2-column (timestamp, close) rows; the first
-    non-blank line may be a header. Raises MalformedRow, DuplicateTimestamp
-    or NonPositivePrice on defective rows.
+    non-blank line may be a header (see ``_is_header``). Raises MalformedRow,
+    DuplicateTimestamp or NonPositivePrice on defective rows.
 
     Files in the common spellings are parsed in one numpy pass
     (``_parse_fast``); any other file goes through ``_load_bars_rows``,
@@ -352,9 +376,7 @@ def _load_bars_rows(path: Path | str, ticker: str, *,
         if header_allowed:
             # only the first non-blank row may be a header
             header_allowed = False
-            try:
-                _parse_timestamp(record[0], zone)
-            except ValueError:
+            if _is_header(record, zone):
                 continue
         if n_cols is None:
             n_cols = len(record)
@@ -439,9 +461,7 @@ def _parse_fast(data: bytes, zone: ZoneInfo) -> tuple[np.ndarray, np.ndarray] | 
     head = data[starts[0]:ends[0]].decode("ascii").split(",")
     if all(not c.strip() for c in head):
         return None
-    try:
-        _parse_timestamp(head[0], zone)
-    except ValueError:  # a header line
+    if _is_header(head, zone):
         starts, ends = starts[1:], ends[1:]
         if starts.size == 0:
             return None

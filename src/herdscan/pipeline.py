@@ -18,7 +18,9 @@ and used 20-28 % more peak memory. Report files are byte-deterministic for
 a given input and configuration, so wall-clock timings never go into them;
 the CLI logs them instead. The three CLI commands' files are written by the
 ``emit_*`` functions, all through ``_emit``, which first deletes other
-commands' and earlier runs' files.
+commands' and earlier runs' files. Every CSV table is spelled by one writer,
+``_csv``: a header line, then one comma-joined line per row, each line ending
+in ``\n`` and each cell spelled by ``_fmt``.
 
 While the sub-periods run, numpy's bundled OpenBLAS is held at one thread
 (``_one_blas_thread`` says why); the reports then do not depend on
@@ -38,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -602,21 +604,34 @@ _VERDICT_COLUMNS = ["beta2", "beta2_sig", "gamma2", "gamma2_sig",
                     "herding_down", "herding_any"]
 
 
-def _verdict_fields(v: HerdingVerdict | None) -> list[str]:
+def _verdict_fields(v: HerdingVerdict | None) -> list:
     """The ``_VERDICT_COLUMNS`` cells: the first values of ``_verdict_dict``."""
     if v is None:
-        return [""] * len(_VERDICT_COLUMNS)
-    return [_fmt(x) for x in list(_verdict_dict(v).values())[:len(_VERDICT_COLUMNS)]]
+        return [None] * len(_VERDICT_COLUMNS)
+    return list(_verdict_dict(v).values())[:len(_VERDICT_COLUMNS)]
+
+
+def _plot_bars(v: HerdingVerdict | None) -> tuple[float, float, float]:
+    """The plotdata bars of a verdict: |t| of beta2, gamma2 and gamma3 where
+    that coefficient shows herding (overall, up, down), else 0.0."""
+    if v is None:
+        return 0.0, 0.0, 0.0
+    return (abs(v.t_beta2) if v.herding_overall else 0.0,
+            abs(v.t_gamma2) if v.herding_up else 0.0,
+            abs(v.t_gamma3) if v.herding_down else 0.0)
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A report table: the header line, then one line per row, cells spelled
+    by ``_fmt`` and joined by commas, each line ending in ``\\n``."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
 
 
 def _mst_csv(tree: SpanningTree | None) -> str:
     """``source,target,correlation,distance`` rows of a tree, in edge order."""
-    lines = ["source,target,correlation,distance"]
-    if tree is not None:
-        for e in tree.edges:
-            corr = 1.0 - e.weight ** 2 / 2.0
-            lines.append(",".join([e.a, e.b, _fmt(corr), _fmt(e.weight)]))
-    return "\n".join(lines) + "\n"
+    edges = tree.edges if tree is not None else ()
+    return _csv(["source", "target", "correlation", "distance"],
+                ([e.a, e.b, 1.0 - e.weight ** 2 / 2.0, e.weight] for e in edges))
 
 
 #: Names of the files the ``emit_*`` functions write, as ``Path.glob``
@@ -659,45 +674,29 @@ def emit_report(run: AnalysisRun, out_dir: Path | str) -> list[Path]:
     files = {"run.json": json.dumps(_run_json(run), sort_keys=True, indent=2) + "\n"}
 
     # verdicts.csv: one row per (vehicle, sub-period)
-    lines = ["vehicle,sub_period,n_assets,n_obs," + ",".join(_VERDICT_COLUMNS)
-             + ",skipped_reason"]
     vehicles = sorted({v for v, _ in run.per_vehicle}, key=lambda v: v.value)
-    for vehicle in vehicles:
-        for sub in run.sub_names:
-            cell = run.per_vehicle.get((vehicle, sub))
-            if cell is None:
-                continue
-            row = [vehicle.value, sub, str(cell.n_assets), str(cell.n_obs)]
-            row += _verdict_fields(cell.verdict)
-            row.append(cell.skipped_reason or "")
-            lines.append(",".join(row))
-    files["verdicts.csv"] = "\n".join(lines) + "\n"
+    cells = [run.per_vehicle[v, sub] for v in vehicles for sub in run.sub_names
+             if (v, sub) in run.per_vehicle]
+    files["verdicts.csv"] = _csv(
+        ["vehicle", "sub_period", "n_assets", "n_obs", *_VERDICT_COLUMNS,
+         "skipped_reason"],
+        ([c.vehicle.value, c.sub_period, c.n_assets, c.n_obs,
+          *_verdict_fields(c.verdict), c.skipped_reason] for c in cells))
 
     sectors = sorted(Sector, key=lambda s: s.value)
     for sub in run.sub_names:
         slug = file_slug(sub)
         reports = run.combined.get(sub, ())
-
-        lines = ["community_id,size,members," + ",".join(_VERDICT_COLUMNS)
-                 + ",skipped_reason," + ",".join(f"sector_{s.value}" for s in sectors)]
-        for r in reports:
-            row = [str(r.community_id), str(len(r.members)), ";".join(r.members)]
-            row += _verdict_fields(r.verdict)
-            row.append(r.skipped_reason or "")
-            row += [_fmt(float(r.sector_distribution.get(s, 0.0))) for s in sectors]
-            lines.append(",".join(row))
-        files[f"communities_{slug}.csv"] = "\n".join(lines) + "\n"
-
-        lines = ["community_id,csad_abs_t,up_abs_t,down_abs_t"]
-        for r in reports:
-            v = r.verdict
-            grey = abs(v.t_beta2) if v and v.herding_overall else 0.0
-            green = abs(v.t_gamma2) if v and v.herding_up else 0.0
-            red = abs(v.t_gamma3) if v and v.herding_down else 0.0
-            lines.append(",".join([str(r.community_id), _fmt(grey),
-                                   _fmt(green), _fmt(red)]))
-        files[f"plotdata_{slug}.csv"] = "\n".join(lines) + "\n"
-
+        files[f"communities_{slug}.csv"] = _csv(
+            ["community_id", "size", "members", *_VERDICT_COLUMNS, "skipped_reason",
+             *(f"sector_{s.value}" for s in sectors)],
+            ([r.community_id, len(r.members), ";".join(r.members),
+              *_verdict_fields(r.verdict), r.skipped_reason,
+              *(float(r.sector_distribution.get(s, 0.0)) for s in sectors)]
+             for r in reports))
+        files[f"plotdata_{slug}.csv"] = _csv(
+            ["community_id", "csad_abs_t", "up_abs_t", "down_abs_t"],
+            ([r.community_id, *_plot_bars(r.verdict)] for r in reports))
         files[f"mst_{slug}.csv"] = _mst_csv(run.trees.get(sub))
 
     return _emit(out_dir, files)
@@ -709,11 +708,9 @@ def emit_communities(structures: Mapping[str, tuple], out_dir: Path | str) -> li
     files: dict[str, str] = {}
     for sub, (tree, partition) in sorted(structures.items()):
         slug = file_slug(sub)
-        lines = ["ticker,community_id"]
-        if partition is not None:
-            for ticker in sorted(partition.assignment):
-                lines.append(f"{ticker},{partition.assignment[ticker]}")
-        files[f"partition_{slug}.csv"] = "\n".join(lines) + "\n"
+        assignment = partition.assignment if partition is not None else {}
+        files[f"partition_{slug}.csv"] = _csv(
+            ["ticker", "community_id"], sorted(assignment.items()))
         files[f"mst_{slug}.csv"] = _mst_csv(tree)
     return _emit(out_dir, files)
 
@@ -721,7 +718,6 @@ def emit_communities(structures: Mapping[str, tuple], out_dir: Path | str) -> li
 def emit_csad(series: CsadSeries, out_dir: Path | str) -> list[Path]:
     """Write ``csad.csv``, one row per return step; stale files go as in
     ``emit_report``."""
-    lines = ["timestamp,market_return,csad"]
-    for ts, rm, disp in zip(series.grid, series.market_return, series.csad):
-        lines.append(f"{ts},{_fmt(float(rm))},{_fmt(float(disp))}")
-    return _emit(out_dir, {"csad.csv": "\n".join(lines) + "\n"})
+    table = _csv(["timestamp", "market_return", "csad"],
+                 zip(series.grid, series.market_return.tolist(), series.csad.tolist()))
+    return _emit(out_dir, {"csad.csv": table})

@@ -116,6 +116,18 @@ class TestLoadBars:
                 parse(path, "X")
             assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("first", [
+        "2019-13-45 09:30,2.0", "2019-04-01 9:30,2.0", "bad-row,1.0", "timestamp,2.0",
+    ], ids=["bad_date", "one_digit_hour", "bad_stamp", "header_like_stamp"])
+    def test_bad_first_line_is_a_malformed_row(self, tmp_path, first):
+        # a number in the line makes it data, not a header to drop
+        path = write_csv(tmp_path, "x.csv",
+                         f"{first}\n2019-04-01 09:30,100.0\n2019-04-01 10:00,101.0\n")
+        for parse in (load_bars, _load_bars_rows):
+            with pytest.raises(MalformedRow) as err:
+                parse(path, "X")
+            assert err.value.line_no == 1
+
     def test_non_utf8_byte_is_malformed_row(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_bytes(b"2019-04-01 09:30,100.0\n2019-04-01 10:00,1\xe9\n")
@@ -595,6 +607,19 @@ class TestConfigFiles:
                          "a b,2019-01-01,2019-02-01\na_b,2019-03-01,2019-04-01\n")
         with pytest.raises(ConfigError, match="'a b' and 'a_b'"):
             read_subperiods(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("Pre,2019-01-01,2019-02-01\npre,2019-03-01,2019-04-01\n",
+         "'Pre' and 'pre' would write the same report files (*_pre.csv)"),
+        ("Full,2019-01-01,2019-02-01\n",
+         "the full period and 'Full' would write the same report files (*_Full.csv)"),
+    ], ids=["two_periods", "full"])
+    def test_subperiods_differing_in_case_rejected(self, tmp_path, text, message):
+        # one report file on a case-insensitive file system
+        path = write_csv(tmp_path, "p.csv", text)
+        with pytest.raises(ConfigError) as exc:
+            read_subperiods(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("reader, good", [
         (read_sector_map, b"AAA stock Energy\n"),

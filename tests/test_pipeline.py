@@ -22,10 +22,18 @@ from herdscan.errors import (
     IoFailure,
     ZeroVarianceAsset,
 )
+from herdscan.community import Partition
+from herdscan.econometrics import HerdingVerdict, Significance
+from herdscan.graph import SpanningTree, TreeEdge
 from herdscan.ingest import AlignedPanel, AssetMeta, Sector, SubPeriod, Vehicle, slice_panel
 from herdscan.pipeline import (
+    AnalysisRun,
+    CommunityReport,
+    VehicleCell,
     community_structure,
     compute_beta_reports,
+    emit_communities,
+    emit_csad,
     emit_report,
     full_subperiod,
     load_panel,
@@ -35,7 +43,7 @@ from herdscan.pipeline import (
     sector_distribution,
     thread_cap,
 )
-from herdscan.returns import csad, log_returns
+from herdscan.returns import CsadSeries, csad, log_returns
 from generators import (
     panel_from_returns,
     planted_two_block_panel,
@@ -336,10 +344,13 @@ class TestCombinedPass:
             ENTRY_POINTS[entry](panel, [event, calm], louvain_weights="bogus")
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    @pytest.mark.parametrize("names", [("a b", "a_b"), ("calm", "calm"), ("full",)],
-                             ids=["same_file_name", "same_name", "full"])
+    @pytest.mark.parametrize("names", [("a b", "a_b"), ("calm", "calm"), ("full",),
+                                       ("Pre", "pre"), ("Full",)],
+                             ids=["same_file_name", "same_name", "full",
+                                  "name_case", "full_case"])
     def test_subperiods_sharing_report_files_rejected(self, entry, names):
-        # emit_report would write their report files over each other
+        # emit_report would write their report files over each other, on a
+        # case-insensitive file system also where the names differ in case
         panel, event, _ = twelve_asset_run_inputs()
         subs = [SubPeriod(name, event.start, event.end) for name in names]
         expected = "'a b' and 'a_b'" if names == ("a b", "a_b") else names[-1]
@@ -525,6 +536,104 @@ class TestEmitReport:
         assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
             "communities_spike.csv", "plotdata_spike.csv", "run.json",
             "verdicts.csv"]
+
+
+#: Hand-built verdicts for ``TestReportTables``: one with all three herding
+#: flags, one without a split fit.
+ALL_FLAGS = HerdingVerdict(-0.5, Significance.AT_1PCT, -0.25, Significance.AT_5PCT,
+                           -0.125, Significance.AT_10PCT, True, True, True, True,
+                           t_beta2=-3.5, t_gamma2=-2.25, t_gamma3=-1.75)
+NO_SPLIT = HerdingVerdict(0.1 + 0.2, Significance.NOT_SIGNIFICANT, None,
+                          Significance.NOT_SIGNIFICANT, None,
+                          Significance.NOT_SIGNIFICANT, False, False, False, False,
+                          t_beta2=0.75)
+#: A 3-node tree; the numpy weight must be spelled as a plain float.
+TREE = SpanningTree(("AAA", "BBB", "CCC"),
+                    (TreeEdge("AAA", "BBB", 1.0), TreeEdge("BBB", "CCC", np.float64(0.5))),
+                    1.5)
+VERDICT_HEADER = ("beta2,beta2_sig,gamma2,gamma2_sig,gamma3,gamma3_sig,"
+                  "herding_overall,herding_up,herding_down,herding_any")
+COMMUNITIES_HEADER = (
+    f"community_id,size,members,{VERDICT_HEADER},skipped_reason,"
+    "sector_CommunicationServices,sector_ConsumerDiscretionary,"
+    "sector_ConsumerStaples,sector_Crypto,sector_Energy,sector_Financials,"
+    "sector_Healthcare,sector_Industrials,sector_InformationTechnology,"
+    "sector_Materials,sector_RealEstate,sector_UsEtf,sector_Utilities\n")
+MST_TEXT = ("source,target,correlation,distance\n"
+            "AAA,BBB,0.5,1.0\n"
+            "BBB,CCC,0.875,0.5\n")
+
+
+class TestReportTables:
+    """The exact text of every CSV table, from hand-built results: no fitting."""
+
+    def test_emit_report(self, tmp_path):
+        cells = [VehicleCell(Vehicle.STOCK, "pre", ALL_FLAGS, None, 4, 120),
+                 VehicleCell(Vehicle.STOCK, "full", NO_SPLIT, None, 4, 240),
+                 VehicleCell(Vehicle.CRYPTO, "pre", None, "too_few_assets", 1, 0),
+                 VehicleCell(Vehicle.CRYPTO, "full", None, "too_few_assets", 1, 0)]
+        run = AnalysisRun(
+            config={}, config_digest="0", sub_names=("pre", "full"),
+            per_vehicle={(c.vehicle, c.sub_period): c for c in cells},
+            combined={
+                "pre": (CommunityReport("pre", 0, ("AAA", "BBB", "CCC", "DDD"), ALL_FLAGS,
+                                        {Sector.ENERGY: 0.75, Sector.FINANCIALS: 0.25}),
+                        CommunityReport("pre", 1, ("BTC",), None, {Sector.CRYPTO: 1.0},
+                                        "below_min_size")),
+                "full": (CommunityReport("full", 0, ("AAA", "BBB", "BTC", "CCC", "DDD"),
+                                         NO_SPLIT, {Sector.CRYPTO: 0.2, Sector.ENERGY: 0.6,
+                                                    Sector.FINANCIALS: 0.2}),)},
+            trees={"pre": TREE, "full": None}, beta_reports={})
+        expected = {
+            "verdicts.csv":
+                f"vehicle,sub_period,n_assets,n_obs,{VERDICT_HEADER},skipped_reason\n"
+                "crypto,pre,1,0,,,,,,,,,,,too_few_assets\n"
+                "crypto,full,1,0,,,,,,,,,,,too_few_assets\n"
+                "stock,pre,4,120,-0.5,1%,-0.25,5%,-0.125,10%,true,true,true,true,\n"
+                "stock,full,4,240,0.30000000000000004,ns,,ns,,ns,"
+                "false,false,false,false,\n",
+            "communities_pre.csv": COMMUNITIES_HEADER
+                + "0,4,AAA;BBB;CCC;DDD,-0.5,1%,-0.25,5%,-0.125,10%,true,true,true,true,,"
+                "0.0,0.0,0.0,0.0,0.75,0.25,0.0,0.0,0.0,0.0,0.0,0.0,0.0\n"
+                "1,1,BTC,,,,,,,,,,,below_min_size,"
+                "0.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0\n",
+            "plotdata_pre.csv": "community_id,csad_abs_t,up_abs_t,down_abs_t\n"
+                                "0,3.5,2.25,1.75\n"
+                                "1,0.0,0.0,0.0\n",
+            "mst_pre.csv": MST_TEXT,
+            "communities_full.csv": COMMUNITIES_HEADER
+                + "0,5,AAA;BBB;BTC;CCC;DDD,0.30000000000000004,ns,,ns,,ns,"
+                "false,false,false,false,,"
+                "0.0,0.0,0.0,0.2,0.6,0.2,0.0,0.0,0.0,0.0,0.0,0.0,0.0\n",
+            "plotdata_full.csv": "community_id,csad_abs_t,up_abs_t,down_abs_t\n"
+                                 "0,0.0,0.0,0.0\n",
+            "mst_full.csv": "source,target,correlation,distance\n",
+        }
+        paths = emit_report(run, tmp_path)
+        assert [p.name for p in paths] == ["run.json", *expected]
+        assert {p.name: p.read_bytes().decode() for p in paths[1:]} == expected
+
+    def test_emit_communities(self, tmp_path):
+        partition = Partition({"BBB": 1, "AAA": 0, "CCC": 0},
+                              (("AAA", "CCC"), ("BBB",)), 0.0)
+        paths = emit_communities({"pre": (TREE, partition), "full": (None, None)},
+                                 tmp_path)
+        assert {p.name: p.read_bytes().decode() for p in paths} == {
+            "partition_full.csv": "ticker,community_id\n",
+            "mst_full.csv": "source,target,correlation,distance\n",
+            "partition_pre.csv": "ticker,community_id\nAAA,0\nBBB,1\nCCC,0\n",
+            "mst_pre.csv": MST_TEXT,
+        }
+
+    def test_emit_csad(self, tmp_path):
+        series = CsadSeries(np.array(["2019-04-01T09:30", "2019-04-01T10:00"],
+                                     dtype="datetime64[s]"),
+                            [0.5, -0.25], [0.125, 1 / 3])
+        [path] = emit_csad(series, tmp_path)
+        assert path.read_bytes().decode() == ("timestamp,market_return,csad\n"
+                                              "2019-04-01T09:30:00,0.5,0.125\n"
+                                              "2019-04-01T10:00:00,-0.25,"
+                                              "0.3333333333333333\n")
 
 
 def write_bar_files(panel, directory, extra_rows=()):
