@@ -28,6 +28,7 @@ from .ingest import (
     AssetMeta,
     Sector,
     Vehicle,
+    bar_files,
     read_sector_map,
     read_subperiods,
 )
@@ -102,9 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _sector_map(args, data_dir: Path) -> dict[str, AssetMeta]:
     if args.sectors is not None:
         return read_sector_map(args.sectors)
-    tickers = sorted(p.stem.upper() for p in data_dir.glob("*.csv"))
-    vehicle, sector = _UNLABELED
-    return {t: AssetMeta(t, vehicle, sector) for t in tickers}
+    return {t: AssetMeta(t, *_UNLABELED) for t in bar_files(data_dir)}
 
 
 def _load(args):

@@ -12,9 +12,10 @@ Plain-ASCII files with ``\\n`` line ends, no quotes, and every stamp in
 one spelling out of ``YYYY-MM-DD HH:MM`` and ``YYYY-MM-DD HH:MM:SS`` (``T``
 or space between date and time), each optionally with a ``Z`` suffix, are
 parsed in one numpy pass. Any other file, and any file with an error in
-it, goes through the row-by-row parser, which reads every ISO-8601 form
-``datetime.fromisoformat`` accepts and reports errors with their line
-number. On the numpy pass, each stamp must match its spelling's byte
+it but a repeated stamp, goes through the row-by-row parser, which reads
+every ISO-8601 form ``datetime.fromisoformat`` accepts and reports errors
+with their line number. Both end in ``_sorted_unique``, which raises a
+repeated stamp. On the numpy pass, each stamp must match its spelling's byte
 template (digits where digits go, ``T`` or space, the separators) before
 numpy's ``datetime64`` cast parses it and checks the calendar; year 0,
 which numpy reads and ``datetime`` does not, is left to the row parser (see
@@ -110,6 +111,12 @@ DEFAULT_MISSING_THRESHOLDS: Mapping[Vehicle, float] = {
 }
 
 
+def _check_cell_text(what: str, name: str) -> None:
+    """ConfigError if ``name`` would break a report cell, which is unquoted."""
+    if any(c in name for c in ',;"\r\n'):
+        raise ConfigError(f"{what} {name!r} holds one of , ; \" or a line break")
+
+
 @dataclass(frozen=True)
 class AssetMeta:
     """Static asset metadata: ticker, vehicle class and sector label."""
@@ -121,6 +128,7 @@ class AssetMeta:
     def __post_init__(self):
         if not self.ticker:
             raise ConfigError("empty ticker")
+        _check_cell_text("ticker", self.ticker)
         if (self.vehicle is Vehicle.CRYPTO) != (self.sector is Sector.CRYPTO):
             raise ConfigError(
                 f"{self.ticker}: crypto vehicle and Crypto sector must coincide")
@@ -267,6 +275,7 @@ class SubPeriod:
     def __post_init__(self):
         if not self.name:
             raise ConfigError("sub-period name must be non-empty")
+        _check_cell_text("sub-period name", self.name)
         if self.start > self.end:
             raise ConfigError(f"sub-period {self.name}: start after end")
 
@@ -334,6 +343,21 @@ def _is_header(fields: Sequence[str], zone: ZoneInfo) -> bool:
     return True
 
 
+def bar_files(data_dir: Path | str) -> dict[str, Path]:
+    """Each ``*.csv`` in ``data_dir`` by ticker, its upper-cased stem; DataError
+    if there is none or two name one ticker (``aaa.csv`` and ``AAA.csv``)."""
+    data_dir = Path(data_dir)
+    named: dict[str, Path] = {}
+    for p in sorted(data_dir.glob("*.csv")):
+        ticker = p.stem.upper()
+        first = named.setdefault(ticker, p)
+        if first is not p:
+            raise DataError(f"{first.name} and {p.name} both name ticker {ticker}")
+    if not named:
+        raise DataError(f"no CSV files in {data_dir}")
+    return named
+
+
 def load_bars(path: Path | str, ticker: str, *,
               tz: str | None = DEFAULT_TIMEZONE) -> RawSeries:
     """Parse one bar CSV into a RawSeries of closes, sorted ascending.
@@ -342,84 +366,78 @@ def load_bars(path: Path | str, ticker: str, *,
     non-blank line may be a header (see ``_is_header``). Raises MalformedRow,
     DuplicateTimestamp or NonPositivePrice on defective rows.
 
-    Files in the common spellings are parsed in one numpy pass
-    (``_parse_fast``); any other file goes through ``_load_bars_rows``,
-    which also raises every error, so both give the same result.
+    The file is read once. Files in the common spellings are parsed in one
+    numpy pass (``_parse_fast``); any other file, and any error but a
+    repeated stamp, goes to ``_parse_rows``. Both give the same result.
     """
     zone = _zone(tz)
-    parsed = _parse_fast(Path(path).read_bytes().removeprefix(codecs.BOM_UTF8),
-                         zone)
-    if parsed is None:
-        return _load_bars_rows(path, ticker, tz=tz)
-    timestamps, closes = parsed
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    parsed = _parse_fast(data, zone)
+    timestamps, closes = _parse_rows(data, zone) if parsed is None else parsed
     return RawSeries(ticker=ticker, timestamps=timestamps, closes=closes)
 
 
-def _load_bars_rows(path: Path | str, ticker: str, *,
-                    tz: str | None = DEFAULT_TIMEZONE) -> RawSeries:
-    """Row-by-row parser: ``load_bars``'s fallback and its test oracle."""
-    path = Path(path)
-    zone = _zone(tz)
-    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+def _parse_rows(data: bytes, zone: ZoneInfo) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row parser: ``load_bars``'s fallback and ``_parse_fast``'s oracle."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedRow(line_no, f"byte 0x{data[exc.start]:02X} is not UTF-8"
-                           ) from None
-    rows: list[tuple[datetime, float]] = []
+        raise MalformedRow(data.count(b"\n", 0, exc.start) + 1,
+                           f"byte 0x{data[exc.start]:02X} is not UTF-8") from None
+    stamps: list[datetime] = []
+    closes: list[float] = []
     n_cols: int | None = None
     header_allowed = True
-    for line_no, record in _csv_records(text):
-        if not record or all(not c.strip() for c in record):
-            continue
-        if header_allowed:
-            # only the first non-blank row may be a header
-            header_allowed = False
-            if _is_header(record, zone):
-                continue
-        if n_cols is None:
-            n_cols = len(record)
-            if n_cols not in (2, 6):
-                raise MalformedRow(line_no, f"expected 2 or 6 columns, got {n_cols}")
-        if len(record) != n_cols:
-            raise MalformedRow(line_no, f"expected {n_cols} columns, got {len(record)}")
-        try:
-            ts = _parse_timestamp(record[0], zone)
-        except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
-        close_field = record[1] if n_cols == 2 else record[4]
-        try:
-            close = float(close_field)
-        except ValueError:
-            raise MalformedRow(line_no, f"bad close {close_field!r}") from None
-        if not math.isfinite(close):
-            raise MalformedRow(line_no, f"non-finite close {close_field!r}")
-        if close <= 0:
-            raise NonPositivePrice(ts)
-        rows.append((ts, close))
-    if not rows:
-        raise MalformedRow(1, "no data rows")
-    rows.sort(key=lambda r: r[0])
-    for (a, _), (b, _) in zip(rows, rows[1:]):
-        if a == b:
-            raise DuplicateTimestamp(a)
-    return RawSeries(
-        ticker=ticker,
-        timestamps=np.array([r[0] for r in rows], dtype="datetime64[s]"),
-        closes=np.array([r[1] for r in rows], dtype=np.float64),
-    )
-
-
-def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each CSV record; MalformedRow on a CSV error."""
     line_no = 0
     try:
-        for line_no, record in enumerate(
+        for line_no, row in enumerate(
                 csv.reader(io.StringIO(text, newline="")), start=1):
-            yield line_no, record
-    except csv.Error as exc:
+            if not row or all(not c.strip() for c in row):
+                continue
+            if header_allowed:
+                # only the first non-blank row may be a header
+                header_allowed = False
+                if _is_header(row, zone):
+                    continue
+            n_cols = n_cols or len(row)
+            if n_cols not in (2, 6):
+                raise MalformedRow(line_no, f"expected 2 or 6 columns, got {n_cols}")
+            if len(row) != n_cols:
+                raise MalformedRow(line_no,
+                                   f"expected {n_cols} columns, got {len(row)}")
+            try:
+                ts = _parse_timestamp(row[0], zone)
+            except ValueError as exc:
+                raise MalformedRow(line_no, str(exc)) from None
+            close_field = row[1] if n_cols == 2 else row[4]
+            try:
+                close = float(close_field)
+            except ValueError:
+                raise MalformedRow(line_no, f"bad close {close_field!r}") from None
+            if not math.isfinite(close):
+                raise MalformedRow(line_no, f"non-finite close {close_field!r}")
+            if close <= 0:
+                raise NonPositivePrice(ts)
+            stamps.append(ts)
+            closes.append(close)
+    except csv.Error as exc:  # raised reading the record after ``line_no``
         raise MalformedRow(line_no + 1, str(exc)) from None
+    if not stamps:
+        raise MalformedRow(1, "no data rows")
+    return _sorted_unique(np.array(stamps, dtype="datetime64[us]"),
+                          np.array(closes, dtype=np.float64))
+
+
+def _sorted_unique(stamps: np.ndarray, closes: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``stamps`` as ``datetime64[s]`` and ``closes``, in stamp order;
+    DuplicateTimestamp at the earliest stamp repeated at ``stamps``' resolution."""
+    order = np.argsort(stamps, kind="stable")
+    stamps = stamps[order]
+    repeats = np.flatnonzero(stamps[1:] == stamps[:-1])
+    if repeats.size:
+        raise DuplicateTimestamp(stamps[repeats[0]].item())
+    return stamps.astype("datetime64[s]", copy=False), closes[order]
 
 
 #: Bytes only the row parser handles, besides anything non-ASCII.
@@ -439,11 +457,11 @@ _LAST_SAFE_SECOND = 32503680000 - 1
 def _parse_fast(data: bytes, zone: ZoneInfo) -> tuple[np.ndarray, np.ndarray] | None:
     """Sorted timestamps and closes of a bar file, or None for the row parser.
 
-    Takes only files it reads exactly as ``_load_bars_rows`` does: ASCII,
+    Takes only files it reads exactly as ``_parse_rows`` does: ASCII,
     ``\\n`` line ends, no quotes, 2 or 6 columns on every data line, one
-    stamp spelling ``YYYY-MM-DD[T ]HH:MM[:SS][Z]`` throughout, finite
-    positive closes and no duplicate stamps. Everything else, errors
-    included, is left to the row parser.
+    stamp spelling ``YYYY-MM-DD[T ]HH:MM[:SS][Z]`` throughout, and finite
+    positive closes. A repeated stamp, the one error left then, raises the
+    row parser's DuplicateTimestamp; all else is left to the row parser.
     """
     if not data or not data.isascii() or any(c in data for c in _ROW_PARSER_BYTES):
         return None
@@ -495,11 +513,7 @@ def _parse_fast(data: bytes, zone: ZoneInfo) -> tuple[np.ndarray, np.ndarray] | 
     closes = _gather_floats(b, lo, hi - lo)
     if closes is None or not np.isfinite(closes).all() or (closes <= 0).any():
         return None
-    order = np.argsort(secs, kind="stable")
-    secs = secs[order]
-    if (secs[1:] == secs[:-1]).any():
-        return None
-    return secs.view("datetime64[s]"), closes[order]
+    return _sorted_unique(secs.view("datetime64[s]"), closes)
 
 
 def _fixed_width_seconds(win: np.ndarray) -> np.ndarray | None:

@@ -80,6 +80,7 @@ from .ingest import (
     Vehicle,
     _check_report_names,
     align,
+    bar_files,
     file_slug,
     filter_by_missing,
     load_bars,
@@ -242,43 +243,28 @@ def _one_blas_thread() -> Iterator[None]:
 def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
                tz: str = DEFAULT_TIMEZONE
                ) -> tuple[AlignedPanel, dict[str, FilterDecision]]:
-    """Load every ``*.csv`` in a directory and align the accepted assets.
+    """Load each file ``bar_files(data_dir)`` names; align the accepted assets.
 
-    Files load one after another, their stamps read in zone ``tz``. The
+    Every ticker must be in the sector map before any file is parsed. Files
+    load one after another, their stamps read in zone ``tz``. The
     missing-data filter runs against a provisional grid built from all
     loaded series; the final grid is rebuilt from the accepted ones. The
     trading hours, the grid quorum and the missing-data limits are
     ``ingest`` constants. The returned decisions include rejected tickers.
-    Two files naming one ticker (``aaa.csv`` and ``AAA.csv``) are a
-    DataError, raised before any file is parsed.
     """
-    data_dir = Path(data_dir)
-    files = sorted(data_dir.glob("*.csv"))
-    if not files:
-        raise DataError(f"no CSV files in {data_dir}")
-    named: dict[str, Path] = {}
-    for p in files:
-        first = named.setdefault(p.stem.upper(), p)
-        if first is not p:
-            raise DataError(f"{first.name} and {p.name} both name ticker "
-                            f"{p.stem.upper()}")
+    named = bar_files(data_dir)
     unmapped = sorted(t for t in named if t not in sector_map)
     if unmapped:
         raise ConfigError(f"tickers missing from the sector map: {unmapped}")
 
     series = [load_bars(p, ticker, tz=tz) for ticker, p in named.items()]
     grid = shared_grid(series)
-    decisions: dict[str, FilterDecision] = {}
-    accepted = []
-    for s in series:
-        decision = filter_by_missing(s, grid, sector_map[s.ticker].vehicle)
-        decisions[s.ticker] = decision
-        if decision.accepted:
-            accepted.append(s)
+    decisions = {s.ticker: filter_by_missing(s, grid, sector_map[s.ticker].vehicle)
+                 for s in series}
+    accepted = [s for s in series if decisions[s.ticker].accepted]
     if len(accepted) < 2:
         raise DataError("fewer than 2 assets pass the missing-data filter")
-    metas = [sector_map[s.ticker] for s in accepted]
-    return align(accepted, metas), decisions
+    return align(accepted, [sector_map[s.ticker] for s in accepted]), decisions
 
 
 def full_subperiod(panel: AlignedPanel) -> SubPeriod:

@@ -154,6 +154,19 @@ class TestAnalyze:
         assert "E00.csv and e00.csv both name ticker E00" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_comma_in_mapped_ticker_is_config_error(self, data_dir, tmp_path,
+                                                    capsys):
+        # the ticker would shift the columns of its rows in every report
+        sectors = tmp_path / "sectors.txt"
+        sectors.write_text(data_dir["sectors"].read_text() + "A,B stock Energy\n")
+        n_lines = len(sectors.read_text().splitlines())
+        code = main(["analyze", "--data-dir", str(data_dir["bars"]),
+                     "--sectors", str(sectors), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {sectors}:{n_lines}: ticker 'A,B' holds one of" in err
+        assert not (tmp_path / "out").exists()
+
     def test_thread_env_respected(self, data_dir, tmp_path, monkeypatch):
         # nothing reads HERDSCAN_THREADS: the sub-period pass is serial
         monkeypatch.setenv("HERDSCAN_THREADS", "zero")
@@ -280,6 +293,37 @@ def test_bad_config_file_fails_before_loading(data_dir, tmp_path, monkeypatch,
         args += ["--sectors", str(data_dir["sectors"])]
     assert main(args) == 2
     assert f"config error: {config}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "communities", "csad"])
+def test_empty_data_dir_is_data_error(data_dir, tmp_path, command, capsys):
+    empty = tmp_path / "bars"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("no bar files here\n")
+    args = [command, "--data-dir", str(empty), "--out", str(tmp_path / "out")]
+    if command == "analyze":
+        args += ["--sectors", str(data_dir["sectors"])]
+    assert main(args) == 3
+    assert f"no CSV files in {empty}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["communities", "csad"])
+def test_semicolon_in_unmapped_file_name_is_config_error(data_dir, tmp_path, command,
+                                                         capsys):
+    # without --sectors every file's stem is a ticker; a ";" in one would
+    # split the members cell of its community
+    bars = tmp_path / "bars"
+    bars.mkdir()
+    for path in data_dir["bars"].glob("*.csv"):
+        (bars / path.name).write_bytes(path.read_bytes())
+    (bars / "A;B.csv").write_bytes((bars / "E00.csv").read_bytes())
+    args = [command, "--data-dir", str(bars), "--out", str(tmp_path / "out")]
+    if command == "communities":
+        args += ["--subperiods", str(data_dir["subs"])]
+    assert main(args) == 2
+    assert "config error: ticker 'A;B' holds one of" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

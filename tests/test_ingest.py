@@ -27,7 +27,8 @@ from herdscan.ingest import (
     Sector,
     SubPeriod,
     Vehicle,
-    _load_bars_rows,
+    _parse_rows,
+    _zone,
     align,
     filter_by_missing,
     load_bars,
@@ -44,6 +45,11 @@ def write_csv(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def rows_only(path, ticker):
+    """The row parser alone on a bar file, in the default zone."""
+    return _parse_rows(path.read_bytes(), _zone(None))
 
 
 def series(ticker, stamps, closes):
@@ -111,7 +117,7 @@ class TestLoadBars:
                          "2019-13-45 09:30,2.0\n"
                          "2019-04-01 09:30,100.0\n"
                          "2019-04-01 10:00,101.0\n")
-        for parse in (load_bars, _load_bars_rows):
+        for parse in (load_bars, rows_only):
             with pytest.raises(MalformedRow) as err:
                 parse(path, "X")
             assert err.value.line_no == 2
@@ -123,7 +129,7 @@ class TestLoadBars:
         # a number in the line makes it data, not a header to drop
         path = write_csv(tmp_path, "x.csv",
                          f"{first}\n2019-04-01 09:30,100.0\n2019-04-01 10:00,101.0\n")
-        for parse in (load_bars, _load_bars_rows):
+        for parse in (load_bars, rows_only):
             with pytest.raises(MalformedRow) as err:
                 parse(path, "X")
             assert err.value.line_no == 1
@@ -160,6 +166,25 @@ class TestAssetMeta:
     def test_empty_ticker(self):
         with pytest.raises(ConfigError):
             AssetMeta("", Vehicle.STOCK, Sector.ENERGY)
+
+
+class TestReportCellNames:
+    """Report cells are not quoted, so names that would break one are refused."""
+
+    @pytest.mark.parametrize("char", [",", ";", '"', "\r", "\n"])
+    def test_ticker_rejected(self, char):
+        with pytest.raises(ConfigError, match="holds one of"):
+            AssetMeta(f"A{char}B", Vehicle.STOCK, Sector.ENERGY)
+
+    @pytest.mark.parametrize("char", [",", ";", '"', "\r", "\n"])
+    def test_subperiod_name_rejected(self, char):
+        with pytest.raises(ConfigError, match="holds one of"):
+            SubPeriod(f"a{char}b", date(2019, 4, 1), date(2019, 4, 30))
+
+    def test_other_punctuation_accepted(self):
+        assert AssetMeta("BRK.B", Vehicle.STOCK, Sector.FINANCIALS).ticker == "BRK.B"
+        name = "Covid-19 pandemic (2020/21)"
+        assert SubPeriod(name, date(2020, 3, 1), date(2021, 3, 1)).name == name
 
 
 class TestFilterByMissing:
@@ -579,7 +604,12 @@ class TestConfigFiles:
          "BTC: crypto vehicle and Crypto sector must coincide"),
         (read_subperiods, "b,2019-05-01,2019-04-01", "sub-period b: start after end"),
         (read_subperiods, " ,2019-04-01,2019-04-30", "sub-period name must be non-empty"),
-    ], ids=["vehicle", "sector", "start_after_end", "empty_name"])
+        (read_sector_map, "A,B stock Energy",
+         "ticker 'A,B' holds one of , ; \" or a line break"),
+        (read_subperiods, 'a"b,2019-04-01,2019-04-30',
+         "sub-period name 'a\"b' holds one of , ; \" or a line break"),
+    ], ids=["vehicle", "sector", "start_after_end", "empty_name", "comma_in_ticker",
+            "quote_in_name"])
     def test_bad_entry_names_file_and_line(self, tmp_path, reader, line, message):
         path = write_csv(tmp_path, "c.txt", f"# header\n{line}\n")
         with pytest.raises(ConfigError) as exc:

@@ -1,28 +1,34 @@
 """Differential tests of the one-pass bar parser against the row parser.
 
-``load_bars`` parses the common file spellings in one numpy pass and hands
-everything else to ``_load_bars_rows``. Whatever the file holds, both must
-return the same series or raise the same error at the same line.
+``load_bars`` reads a file once, parses the common spellings in one numpy
+pass (``_parse_fast``) and hands everything else to ``_parse_rows``.
+Whatever the file holds, both must return the same series or raise the same
+error at the same line.
 """
 
 from __future__ import annotations
 
 import calendar
+import codecs
 import csv
 from datetime import datetime, timedelta
+from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herdscan.errors import DuplicateTimestamp, MalformedRow
 from herdscan.ingest import (
+    DEFAULT_TIMEZONE,
+    RawSeries,
     _day_offsets,
     _fixed_width_seconds,
-    _load_bars_rows,
     _parse_fast,
+    _parse_rows,
+    _zone,
     load_bars,
 )
 
@@ -115,6 +121,12 @@ def bar_files(draw):
     return text.encode("ascii")
 
 
+def _load_bars_rows(path, ticker, *, tz=DEFAULT_TIMEZONE):
+    """``load_bars`` with the row parser alone."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    return RawSeries(ticker, *_parse_rows(data, _zone(tz)))
+
+
 def outcome(parse, path, tz):
     try:
         s = parse(path, "X", tz=tz)
@@ -123,14 +135,34 @@ def outcome(parse, path, tz):
     return s.timestamps.astype(np.int64).tolist(), s.closes.tolist()
 
 
+def parsed(parse, data, zone=NEW_YORK):
+    """``outcome`` of ``_parse_fast`` or ``_parse_rows`` on a file's bytes;
+    None if the parser leaves the file to another."""
+    try:
+        result = parse(data, zone)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    if result is None:
+        return None
+    stamps, closes = result
+    assert stamps.dtype == np.dtype("datetime64[s]") and closes.dtype == np.float64
+    return stamps.astype(np.int64).tolist(), closes.tolist()
+
+
 @pytest.fixture(scope="module")
 def bar_path(tmp_path_factory):
     return tmp_path_factory.mktemp("parse") / "X.csv"
 
 
 @given(data=bar_files(), tz=st.sampled_from(["America/New_York", None]))
+# two stamps one fraction of a second apart: distinct to the row parser, one
+# second to the series, which refuses them
+@example(data=b"2019-04-01 00:00,1.0\r\n2019-04-01T00:00:00.250,1.0\r\n",
+         tz="America/New_York")
 @settings(max_examples=400, deadline=None)
 def test_load_bars_matches_row_parser(bar_path, data, tz):
+    zone = _zone(tz)
+    assert parsed(_parse_fast, data, zone) in (None, parsed(_parse_rows, data, zone))
     bar_path.write_bytes(data)
     assert outcome(load_bars, bar_path, tz) == outcome(_load_bars_rows, bar_path, tz)
 
@@ -205,13 +237,22 @@ def test_empty_zone_is_the_default_zone(tmp_path, parse, tz):
     assert outcome(parse, path, tz) == outcome(parse, path, "America/New_York")
 
 
-def test_fall_back_hour_duplicate_is_left_to_row_parser(tmp_path):
+@pytest.mark.parametrize("text, stamp", [
+    ("2019-04-01 09:30,1.0\n2019-04-01 09:30,2.0\n", "2019-04-01 09:30"),
     # 05:30Z and 06:30Z on 2019-11-03 are both 01:30 in New York
+    ("2019-11-03T05:30:00Z,1.0\n2019-11-03T06:30:00Z,2.0\n", "2019-11-03 01:30"),
+    # 10:00 repeats first in the file, 09:30 first in time
+    ("2019-04-01 10:00,1.0\n2019-04-01 10:00,2.0\n2019-04-01 09:30,3.0\n"
+     "2019-04-01 09:30,4.0\n", "2019-04-01 09:30"),
+], ids=["same_stamp", "fall_back_hour", "earliest_in_time"])
+def test_fast_path_raises_the_row_parsers_duplicate(tmp_path, text, stamp):
+    data = text.encode("ascii")
+    with pytest.raises(DuplicateTimestamp, match=f"^duplicate timestamp {stamp}:00$"):
+        _parse_fast(data, NEW_YORK)
+    assert parsed(_parse_fast, data) == parsed(_parse_rows, data)
     path = tmp_path / "X.csv"
-    path.write_text("2019-11-03T05:30:00Z,1.0\n2019-11-03T06:30:00Z,2.0\n")
-    assert _parse_fast(path.read_bytes(), NEW_YORK) is None
-    with pytest.raises(DuplicateTimestamp):
-        load_bars(path, "X")
+    path.write_bytes(data)
+    assert outcome(load_bars, path, "America/New_York") == parsed(_parse_rows, data)
 
 
 @pytest.mark.parametrize("stamp", [
@@ -287,7 +328,6 @@ SIX = ("2019-04-01 09:30,1,1,1,1.0,5\n2019-04-01 10:00,1,1,1,2.0,5\n"
     "2019-04-01T13:30:00z,1.0\n2019-04-01T14:00:00z,2.0\n",
     "2019-04-01 09:30,1.0\n2019-04-01 10:00,0\n",
     "2019-04-01 09:30,1.0\n2019-04-01 10:00,inf\n",
-    "2019-04-01 09:30,1.0\n2019-04-01 09:30,2.0\n",
     "ticker é,close\n2019-04-01 09:30,1.0\n",
     "2019-04-01T13:30:00Z,1.0\n0001-01-01T05:00:00Z,2.0\n",
     "2019-04-01 09:30,1,1,1,1.0,1\n2019-04-01 10:00,1,1,1,2.0," + "9" * 140_000 + "\n",
@@ -308,6 +348,28 @@ def test_other_files_are_left_to_row_parser(tmp_path, text):
     assert _parse_fast(path.read_bytes(), NEW_YORK) is None
     assert outcome(load_bars, path, "America/New_York") == \
         outcome(_load_bars_rows, path, "America/New_York")
+
+
+def test_row_parser_file_is_read_once(tmp_path, monkeypatch):
+    path = tmp_path / "X.csv"
+    path.write_bytes(b"2019-04-01 09:30,1.0\r\n2019-04-01 10:00,2.0\r\n")
+    assert _parse_fast(path.read_bytes(), NEW_YORK) is None
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes",
+                        lambda self: reads.append(self) or read_bytes(self))
+    assert load_bars(path, "X").closes.tolist() == [1.0, 2.0]
+    assert reads == [path]
+
+
+def test_row_parser_finds_duplicates_before_dropping_fractions():
+    # .25 and .5 seconds past one second: distinct stamps, one second each
+    data = b"2019-04-01T09:30:00.250,1.0\n2019-04-01T09:30:00.500,2.0\n"
+    stamps, closes = _parse_rows(data, NEW_YORK)
+    assert stamps.tolist() == [datetime(2019, 4, 1, 9, 30)] * 2
+    assert closes.tolist() == [1.0, 2.0]
+    with pytest.raises(DuplicateTimestamp, match="09:30:00.250000"):
+        _parse_rows(data + b"2019-04-01T09:30:00.250,3.0\n", NEW_YORK)
 
 
 @pytest.mark.parametrize("text", [
