@@ -11,7 +11,6 @@ from .community import (
     Partition,
     WeightedGraph,
     aggregate,
-    delta_q,
     graph_from_tree,
     local_move_phase,
     louvain,
@@ -75,7 +74,7 @@ __all__ = [
     "ReturnPanel", "Sector", "Significance", "SpanningTree", "SubPeriod",
     "Vehicle", "VehicleCell", "WeightedGraph",
     "aggregate", "align", "beta_distance_stats", "capm_beta",
-    "compute_beta_reports", "csad", "delta_q", "emit_report",
+    "compute_beta_reports", "csad", "emit_report",
     "filter_by_missing", "fit_csad_basic", "fit_csad_updown",
     "graph_from_tree", "load_bars", "load_panel", "local_move_phase",
     "log_returns", "louvain", "modularity", "mst", "ols", "pearson_matrix",

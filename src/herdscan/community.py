@@ -11,7 +11,8 @@ computed per community as in_c/(2m) - (tot_c/(2m))^2 where in_c sums
 A[i][j] over ordered member pairs (self-loops included) and tot_c sums
 member degrees. A graph computes its degrees and m once and caches them,
 and one pass (``_community_sums``) builds the per-community sums for both
-``modularity`` and the local-move state.
+``modularity`` and the local-move phase, which then updates its copy in
+place as nodes move.
 
 The algorithm alternates a local-move phase (each node greedily joins the
 neighboring community with the largest positive modularity gain) with an
@@ -157,68 +158,15 @@ def modularity(g: WeightedGraph, assignment: Mapping[Node, int]) -> float:
                for c in internal)
 
 
-class LouvainState:
-    """Incremental per-community sums used by the local-move phase.
-
-    Tracks sigma_in (ordered-pair internal weight) and sigma_tot (member
-    degree sum) per community. A node must be isolated with :meth:`remove`
-    before gains toward target communities are evaluated. ``remove`` and
-    ``insert`` take the node's :meth:`neighbor_weights`, read before the
-    removal.
-    """
-
-    def __init__(self, g: WeightedGraph, assignment: Mapping[Node, int]):
-        self.g = g
-        self.m = g.total_weight
-        self.sigma_in, self.sigma_tot = _community_sums(g, assignment)
-        self.community_of: dict[Node, int | None] = {
-            n: assignment[n] for n in g.nodes}
-
-    def neighbor_weights(self, node: Node) -> dict[int, float]:
-        """Total link weight from ``node`` into each community.
-
-        Read it while no node is isolated.
-        """
-        out: dict[int, float] = {}
-        for nbr, w in self.g.adjacency[node]:
-            cid = self.community_of[nbr]
-            out[cid] = out.get(cid, 0.0) + w
-        return out
-
-    def remove(self, node: Node, weights: Mapping[int, float]) -> int:
-        """Isolate ``node`` from its community; returns the old community id."""
-        cid = self.community_of[node]
-        if cid is None:
-            raise DataError(f"node {node!r} already isolated")
-        self.sigma_tot[cid] -= self.g.degrees[node]
-        self.sigma_in[cid] -= 2.0 * weights.get(cid, 0.0) + self.g.self_loops[node]
-        self.community_of[node] = None
-        return cid
-
-    def insert(self, node: Node, community: int,
-               weights: Mapping[int, float]) -> None:
-        self.sigma_tot[community] = (self.sigma_tot.get(community, 0.0)
-                                     + self.g.degrees[node])
-        self.sigma_in[community] = (self.sigma_in.get(community, 0.0)
-                                    + 2.0 * weights.get(community, 0.0)
-                                    + self.g.self_loops[node])
-        self.community_of[node] = community
-
-
-def delta_q(node: Node, target_community: int, state: LouvainState, *,
-            k_in: float) -> float:
+def _gain(sig_in: float, sig_tot: float, k_i: float, k_in: float,
+          two_m: float) -> float:
     """Modularity gain from inserting an isolated node into a community.
 
-    The node must currently be isolated in ``state``; ``k_in`` is its link
-    weight into the target. The value equals the exact difference in Q
-    between the post-insert and the isolated configuration.
+    ``sig_in`` and ``sig_tot`` are the target's sums without the node,
+    ``k_i`` is the node's degree and ``k_in`` its link weight into the
+    target. The value equals the exact difference in Q between the joined
+    and the isolated configuration.
     """
-    if state.community_of[node] is not None:
-        raise DataError(f"node {node!r} must be isolated before delta_q")
-    two_m = 2.0 * state.m
-    sig_in = state.sigma_in.get(target_community, 0.0)
-    sig_tot = state.sigma_tot.get(target_community, 0.0)
-    k_i = state.g.degrees[node]
     joined = (sig_in + 2.0 * k_in) / two_m - ((sig_tot + k_i) / two_m) ** 2
     apart = sig_in / two_m - (sig_tot / two_m) ** 2 - (k_i / two_m) ** 2
     return joined - apart
@@ -232,34 +180,51 @@ def local_move_phase(g: WeightedGraph,
     Each node moves to the neighboring community with the largest gain, if
     it beats staying put by more than ``GAIN_TOL`` (1e-12); the phase ends
     when a full sweep moves nothing. The returned modularity is never below
-    the initial one.
+    the initial one. ``initial`` must cover every node (``UncoveredNode``
+    otherwise); its labels need not be dense.
+
+    sigma_in (ordered-pair internal weight) and sigma_tot (member degree
+    sum) per community are built once; each visit takes the node out of
+    its community, picks the best one and puts it back, updating both.
     """
     order = list(order) if order is not None else _default_order(g)
     if initial is None:
         initial = singleton_assignment(g, order)
-    state = LouvainState(g, initial)
+    sigma_in, sigma_tot = _community_sums(g, initial)
+    community_of = {n: initial[n] for n in g.nodes}
+    two_m = 2.0 * g.total_weight
 
     while True:
         moved = False
         for node in order:
-            weights = state.neighbor_weights(node)
-            current = state.remove(node, weights)
+            weights: dict[int, float] = {}
+            for nbr, w in g.adjacency[node]:
+                cid = community_of[nbr]
+                weights[cid] = weights.get(cid, 0.0) + w
+            k_i = g.degrees[node]
+            loop = g.self_loops[node]
+            current = community_of[node]
+            sigma_tot[current] -= k_i
+            sigma_in[current] -= 2.0 * weights.get(current, 0.0) + loop
             best_cid = current
-            best_gain = delta_q(node, current, state,
-                                k_in=weights.get(current, 0.0))
+            best_gain = _gain(sigma_in[current], sigma_tot[current], k_i,
+                              weights.get(current, 0.0), two_m)
             for cid in sorted(weights):
                 if cid == current:
                     continue
-                gain = delta_q(node, cid, state, k_in=weights[cid])
+                gain = _gain(sigma_in[cid], sigma_tot[cid], k_i, weights[cid],
+                             two_m)
                 if gain > best_gain + GAIN_TOL:
                     best_cid, best_gain = cid, gain
-            state.insert(node, best_cid, weights)
+            sigma_tot[best_cid] += k_i
+            sigma_in[best_cid] = (sigma_in[best_cid]
+                                  + 2.0 * weights.get(best_cid, 0.0) + loop)
+            community_of[node] = best_cid
             if best_cid != current:
                 moved = True
         if not moved:
             break
-    return Partition.from_assignment(
-        g, {n: state.community_of[n] for n in g.nodes}, order=order)
+    return Partition.from_assignment(g, community_of, order=order)
 
 
 def aggregate(g: WeightedGraph, p: Partition) -> WeightedGraph:

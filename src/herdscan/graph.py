@@ -85,10 +85,9 @@ class SpanningTree:
 
 def pearson_matrix(rp: ReturnPanel) -> CorrelationMatrix:
     """Pairwise Pearson correlations of asset returns over the panel window."""
-    variances = rp.returns.var(axis=1)
-    for ticker, var in zip(rp.tickers, variances):
-        if var < MIN_RETURN_VARIANCE:
-            raise ZeroVarianceAsset(ticker)
+    flat = np.flatnonzero(rp.returns.var(axis=1) < MIN_RETURN_VARIANCE)
+    if flat.size:
+        raise ZeroVarianceAsset(rp.tickers[flat[0]])
     corr = np.corrcoef(rp.returns)
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)

@@ -14,11 +14,12 @@ or space between date and time), each optionally with a ``Z`` suffix, are
 parsed in one numpy pass. Any other file, and any file with an error in
 it but a repeated stamp, goes through the row-by-row parser, which reads
 every ISO-8601 form ``datetime.fromisoformat`` accepts and reports errors
-with their line number. Both end in ``_sorted_unique``, which raises a
-repeated stamp. On the numpy pass, each stamp must match its spelling's byte
-template (digits where digits go, ``T`` or space, the separators) before
-numpy's ``datetime64`` cast parses it and checks the calendar; year 0,
-which numpy reads and ``datetime`` does not, is left to the row parser (see
+with their line number; it cuts each stamp to whole seconds. Both end in
+``_sorted_unique``, which raises a repeated stamp. On the numpy pass, each
+stamp must match its spelling's byte template (digits where digits go,
+``T`` or space, the separators) before numpy's ``datetime64`` cast parses
+it and checks the calendar; year 0, which numpy reads and ``datetime``
+does not, is left to the row parser (see
 ``_fixed_width_seconds``). Closes of up to 19 bytes, digits with at most
 one dot, are converted by integer arithmetic to the same double ``float()`` gives (see
 ``_gather_floats``); other spellings take numpy's string cast.
@@ -424,20 +425,22 @@ def _parse_rows(data: bytes, zone: ZoneInfo) -> tuple[np.ndarray, np.ndarray]:
         raise MalformedRow(line_no + 1, str(exc)) from None
     if not stamps:
         raise MalformedRow(1, "no data rows")
-    return _sorted_unique(np.array(stamps, dtype="datetime64[us]"),
-                          np.array(closes, dtype=np.float64))
+    # cut to whole seconds first, so two bars in one second are a repeat
+    return _sorted_unique(
+        np.array(stamps, dtype="datetime64[us]").astype("datetime64[s]"),
+        np.array(closes, dtype=np.float64))
 
 
 def _sorted_unique(stamps: np.ndarray, closes: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """``stamps`` as ``datetime64[s]`` and ``closes``, in stamp order;
-    DuplicateTimestamp at the earliest stamp repeated at ``stamps``' resolution."""
+    """``datetime64[s]`` ``stamps`` and ``closes``, in stamp order;
+    DuplicateTimestamp at the earliest repeated stamp."""
     order = np.argsort(stamps, kind="stable")
     stamps = stamps[order]
     repeats = np.flatnonzero(stamps[1:] == stamps[:-1])
     if repeats.size:
         raise DuplicateTimestamp(stamps[repeats[0]].item())
-    return stamps.astype("datetime64[s]", copy=False), closes[order]
+    return stamps, closes[order]
 
 
 #: Bytes only the row parser handles, besides anything non-ASCII.

@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and shares no code with the
 implementations under test: normal-equation least squares, spanning-tree
 enumeration via Prufer sequences, Kruskal's algorithm with component
-relabelling, exhaustive set-partition modularity search, the literal
+relabelling, exhaustive set-partition modularity search, a local-move
+sweep that recomputes modularity at every step, the literal
 lagged-sum form of the Newey-West covariance, and the per-cell fill log
 that aligned panels carried before their fill array, with the filters
 ``restrict`` and ``slice_panel`` applied to it record by record.
@@ -137,12 +138,42 @@ def all_partitions(n: int) -> np.ndarray:
 
 
 def modularity_of_labels(adj: np.ndarray, labels: np.ndarray) -> float:
-    """Direct evaluation of Q from the adjacency matrix (no self-loops)."""
+    """Direct evaluation of Q from the adjacency matrix.
+
+    A self-loop sits on the diagonal and counts once in its node's degree.
+    """
     k = adj.sum(axis=1)
     two_m = k.sum()
     B = adj - np.outer(k, k) / two_m
     same = labels[:, None] == labels[None, :]
     return float(B[same].sum() / two_m)
+
+
+def local_move_labels(adj: np.ndarray, labels, order, tol: float
+                      ) -> np.ndarray:
+    """Louvain's local-move phase with Q recomputed from scratch.
+
+    Sweeps ``order`` until no node moves. At each visit Q is evaluated for
+    the node staying and then for each community holding one of its
+    neighbours, in ascending label order; the node moves to a candidate
+    only if that beats the best Q so far by more than ``tol``.
+    """
+    labels = np.array(labels)
+    while True:
+        moved = False
+        for i in order:
+            own = labels[i]
+            best_label, best_q = own, modularity_of_labels(adj, labels)
+            neighbours = {labels[j] for j in np.flatnonzero(adj[i]) if j != i}
+            for cand in sorted(neighbours - {own}):
+                labels[i] = cand
+                q = modularity_of_labels(adj, labels)
+                if q > best_q + tol:
+                    best_label, best_q = cand, q
+            labels[i] = best_label
+            moved = moved or best_label != own
+        if not moved:
+            return labels
 
 
 def best_partition(adj: np.ndarray) -> tuple[float, np.ndarray]:

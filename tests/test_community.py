@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from herdscan.community import (
-    LouvainState,
+    GAIN_TOL,
     Partition,
     WeightedGraph,
+    _community_sums,
+    _gain,
     aggregate,
-    delta_q,
     graph_from_tree,
     local_move_phase,
     louvain,
@@ -22,7 +23,7 @@ from herdscan.errors import DataError, UncoveredNode
 from herdscan.graph import SpanningTree, TreeEdge, mst, pearson_matrix, to_distance
 from herdscan.returns import log_returns
 
-from oracles import best_partition, modularity_of_labels
+from oracles import best_partition, local_move_labels, modularity_of_labels
 from generators import clique_block_graph, random_walk_panel
 
 # --- fixtures ---------------------------------------------------------------
@@ -145,39 +146,47 @@ class TestModularity:
                 assert abs(part.modularity - expected) <= 1e-12
 
 
-# --- delta_q ---------------------------------------------------------------------
+# --- gain ----------------------------------------------------------------------
 
 
-class TestDeltaQ:
+def isolated_sums(g, assignment, node):
+    """Community sums with ``node`` moved to a fresh id, and its link weights."""
+    fresh = max(assignment.values()) + 1
+    sig_in, sig_tot = _community_sums(g, {**assignment, node: fresh})
+    k_in = {}
+    for nbr, w in g.adjacency[node]:
+        k_in[assignment[nbr]] = k_in.get(assignment[nbr], 0.0) + w
+    return sig_in, sig_tot, k_in
+
+
+def gain(g, node, target, sums):
+    sig_in, sig_tot, k_in = sums
+    return _gain(sig_in.get(target, 0.0), sig_tot.get(target, 0.0),
+                 g.degrees[node], k_in.get(target, 0.0), 2.0 * g.total_weight)
+
+
+class TestGain:
     def test_joining_all_neighbors_positive(self):
         g = barbell()
         assignment = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
-        state = LouvainState(g, assignment)
-        weights = state.neighbor_weights(4)
-        state.remove(4, weights)
-        assert delta_q(4, 1, state, k_in=weights[1]) > 0  # rejoin its triangle
+        sums = isolated_sums(g, assignment, 4)
+        assert gain(g, 4, 1, sums) > 0  # rejoin its triangle
 
     def test_no_edges_into_target_negative(self):
         g = two_triangles()
         assignment = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
-        state = LouvainState(g, assignment)
-        weights = state.neighbor_weights(0)
-        state.remove(0, weights)
-        assert 1 not in weights  # no links into the other triangle
-        assert delta_q(0, 1, state, k_in=0.0) < 0
+        sums = isolated_sums(g, assignment, 0)
+        assert 1 not in sums[2]  # no links into the other triangle
+        assert gain(g, 0, 1, sums) < 0
 
     def test_barbell_cross_move_negative(self):
         g = barbell()
         assignment = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
         for node in (2, 3):
-            state = LouvainState(g, assignment)
-            weights = state.neighbor_weights(node)
-            state.remove(node, weights)
+            sums = isolated_sums(g, assignment, node)
             own = assignment[node]
             other = 1 - own
-            gain_stay = delta_q(node, own, state, k_in=weights[own])
-            gain_cross = delta_q(node, other, state, k_in=weights[other])
-            assert gain_cross < gain_stay
+            assert gain(g, node, other, sums) < gain(g, node, own, sums)
 
     def test_consistency_with_full_recomputation(self):
         rng = np.random.default_rng(1)
@@ -189,64 +198,24 @@ class TestDeltaQ:
             node = int(rng.integers(0, n))
             fresh = max(assignment.values()) + 1
 
-            state = LouvainState(g, assignment)
-            weights = state.neighbor_weights(node)
-            state.remove(node, weights)
-            iso = {**assignment, node: fresh}
-            q_iso = modularity(g, iso)
+            sums = isolated_sums(g, assignment, node)
+            q_iso = modularity(g, {**assignment, node: fresh})
             for target in set(assignment.values()):
-                gain = delta_q(node, target, state,
-                               k_in=weights.get(target, 0.0))
                 q_after = modularity(g, {**assignment, node: target})
-                assert gain == pytest.approx(q_after - q_iso, abs=1e-9)
+                assert gain(g, node, target, sums) == pytest.approx(
+                    q_after - q_iso, abs=1e-9)
 
     def test_consistency_with_self_loops(self):
         # aggregated graphs carry self-loops; the gain must stay exact
         g = WeightedGraph.from_edges(
             range(3), [(0, 1, 1.0), (1, 2, 2.0)], self_loops={0: 6.0, 1: 4.0})
         assignment = {0: 0, 1: 0, 2: 1}
-        iso = {0: 0, 1: 0, 2: 2}
-        q_iso = modularity(g, iso)
+        q_iso = modularity(g, {0: 0, 1: 0, 2: 2})
+        sums = isolated_sums(g, assignment, 2)
         for target in (0, 1):
-            state = LouvainState(g, assignment)
-            weights = state.neighbor_weights(2)
-            state.remove(2, weights)
-            gain = delta_q(2, target, state, k_in=weights.get(target, 0.0))
             q_after = modularity(g, {0: 0, 1: 0, 2: target})
-            assert gain == pytest.approx(q_after - q_iso, abs=1e-12)
-
-    def test_remove_then_insert_restores_sums(self):
-        rng = np.random.default_rng(7)
-        g = random_connected_graph(rng, 8, weighted=True)
-        assignment = {i: i % 3 for i in range(8)}
-        state = LouvainState(g, assignment)
-        before = (dict(state.sigma_in), dict(state.sigma_tot))
-        for node in g.nodes:
-            weights = state.neighbor_weights(node)
-            cid = state.remove(node, weights)
-            state.insert(node, cid, weights)
-            assert state.community_of[node] == cid
-            for c in before[0]:
-                assert state.sigma_in[c] == pytest.approx(before[0][c], abs=1e-12)
-                assert state.sigma_tot[c] == pytest.approx(before[1][c], abs=1e-12)
-
-    def test_remove_twice_rejected(self):
-        g = barbell()
-        state = LouvainState(g, {i: i // 3 for i in range(6)})
-        weights = state.neighbor_weights(2)
-        state.remove(2, weights)
-        with pytest.raises(DataError):
-            state.remove(2, weights)
-
-    def test_delta_q_needs_isolated_node(self):
-        g = barbell()
-        state = LouvainState(g, {i: i // 3 for i in range(6)})
-        with pytest.raises(DataError):
-            delta_q(2, 1, state, k_in=1.0)
-
-    def test_uncovered_node(self):
-        with pytest.raises(UncoveredNode):
-            LouvainState(barbell(), {i: 0 for i in range(5)})
+            assert gain(g, 2, target, sums) == pytest.approx(
+                q_after - q_iso, abs=1e-12)
 
 
 # --- local move phase ----------------------------------------------------------------
@@ -286,6 +255,44 @@ class TestLocalMovePhase:
             q0 = modularity(g, initial)
             part = local_move_phase(g, initial)
             assert part.modularity >= q0 - 1e-12
+
+    def test_uncovered_node(self):
+        with pytest.raises(UncoveredNode):
+            local_move_phase(barbell(), {i: 0 for i in range(5)})
+
+    def test_matches_full_recomputation_reference(self):
+        # the incremental bookkeeping must pick the same move at every visit
+        # as recomputing Q from scratch; sigma_in cancels out of each gain,
+        # so it is sigma_tot that this can catch
+        rng = np.random.default_rng(25)
+        for trial in range(240):
+            n = int(rng.integers(2, 11))
+            weighted = trial % 2 == 1
+            edges = [(i, j, float(rng.uniform(0.2, 2.0)) if weighted else 1.0)
+                     for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.4]
+            loops = ({i: float(rng.choice([1.0, 2.5, 6.0]))
+                      for i in range(n) if rng.random() < 0.4}
+                     if trial % 4 >= 2 else {})
+            if not edges and not loops:
+                continue
+            g = WeightedGraph.from_edges(range(n), edges, self_loops=loops)
+            A = adjacency_matrix(g) + np.diag([g.self_loops[i] for i in range(n)])
+            order = (list(range(n)) if trial % 3 == 0
+                     else [int(i) for i in rng.permutation(n)])
+            if trial % 5 == 0:
+                initial = None
+                labels = np.empty(n, dtype=int)
+                labels[order] = np.arange(n)
+            else:
+                # sparse, unordered labels, negative ones included
+                labels = rng.choice([-7, 3, 11, 40, 1000], n)
+                initial = {i: int(labels[i]) for i in range(n)}
+            part = local_move_phase(g, initial, order=order)
+            expected = local_move_labels(A, labels, order, GAIN_TOL)
+            assert part.assignment == Partition.from_assignment(
+                g, {i: int(expected[i]) for i in range(n)}, order=order
+            ).assignment, trial
 
 
 # --- aggregation -------------------------------------------------------------------------

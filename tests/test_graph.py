@@ -55,6 +55,13 @@ class TestPearson:
             pearson_matrix(return_panel([rng.normal(0, 0.01, 30),
                                          np.zeros(30)], ["A", "FLAT"]))
         assert err.value.ticker == "FLAT"
+        # of several flat assets, the first in panel order is named
+        with pytest.raises(ZeroVarianceAsset) as err:
+            pearson_matrix(return_panel(
+                [rng.normal(0, 0.01, 30), np.full(30, 0.002),
+                 rng.normal(0, 0.01, 30), np.zeros(30)],
+                ["A", "Z_FLAT", "B", "C_FLAT"]))
+        assert err.value.ticker == "Z_FLAT"
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(3)

@@ -155,8 +155,7 @@ def bar_path(tmp_path_factory):
 
 
 @given(data=bar_files(), tz=st.sampled_from(["America/New_York", None]))
-# two stamps one fraction of a second apart: distinct to the row parser, one
-# second to the series, which refuses them
+# two stamps a fraction of a second apart fall in one second: a repeat
 @example(data=b"2019-04-01 00:00,1.0\r\n2019-04-01T00:00:00.250,1.0\r\n",
          tz="America/New_York")
 @settings(max_examples=400, deadline=None)
@@ -363,13 +362,29 @@ def test_row_parser_file_is_read_once(tmp_path, monkeypatch):
 
 
 def test_row_parser_finds_duplicates_before_dropping_fractions():
-    # .25 and .5 seconds past one second: distinct stamps, one second each
+    # .25 and .5 seconds past one second: one second each, so a repeat
     data = b"2019-04-01T09:30:00.250,1.0\n2019-04-01T09:30:00.500,2.0\n"
-    stamps, closes = _parse_rows(data, NEW_YORK)
-    assert stamps.tolist() == [datetime(2019, 4, 1, 9, 30)] * 2
-    assert closes.tolist() == [1.0, 2.0]
-    with pytest.raises(DuplicateTimestamp, match="09:30:00.250000"):
-        _parse_rows(data + b"2019-04-01T09:30:00.250,3.0\n", NEW_YORK)
+    with pytest.raises(DuplicateTimestamp,
+                       match="^duplicate timestamp 2019-04-01 09:30:00$"):
+        _parse_rows(data, NEW_YORK)
+    stamps, closes = _parse_rows(
+        b"2019-04-01T09:30:00.500,2.0\n2019-04-01T09:30:01.250,1.0\n", NEW_YORK)
+    assert stamps.dtype == np.dtype("datetime64[s]")
+    assert stamps.tolist() == [datetime(2019, 4, 1, 9, 30),
+                               datetime(2019, 4, 1, 9, 30, 1)]
+    assert closes.tolist() == [2.0, 1.0]
+
+
+@pytest.mark.parametrize("text", [
+    "2019-04-01T09:30:00.250,1.0\n2019-04-01T09:30:00.500,2.0\n",
+    "2019-04-01 09:30,1.0\n2019-04-01T09:30:00.999999,2.0\n",
+])
+def test_two_bars_in_one_second_are_a_repeat(tmp_path, text):
+    path = tmp_path / "X.csv"
+    path.write_text(text)
+    with pytest.raises(DuplicateTimestamp,
+                       match="^duplicate timestamp 2019-04-01 09:30:00$"):
+        load_bars(path, "X")
 
 
 @pytest.mark.parametrize("text", [

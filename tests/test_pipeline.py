@@ -482,6 +482,33 @@ class TestEmitReport:
         for f in files:
             assert (one / f).read_bytes() == (two / f).read_bytes(), f
 
+    def test_byte_determinism_across_hash_seeds(self, tmp_path):
+        # Louvain keeps its state in dicts keyed by tickers and community
+        # ids; no report may depend on the order a seed gives their hashes
+        script = (
+            "import sys\n"
+            "from generators import random_walk_panel\n"
+            "from herdscan.pipeline import (community_structure,\n"
+            "    emit_communities, emit_report, run_analysis)\n"
+            "panel = random_walk_panel(5, 60, 400)\n"
+            "emit_communities(community_structure(\n"
+            "    panel, [], louvain_weights='similarity'),\n"
+            "    f'{sys.argv[1]}/communities')\n"
+            "emit_report(run_analysis(panel, [], louvain_weights='similarity'),\n"
+            "            f'{sys.argv[1]}/analysis')\n"
+        )
+        src = Path(herdscan.__file__).resolve().parents[1]
+        path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-c", script, str(tmp_path / seed)],
+                           env=env, check=True, timeout=600)
+        zero, one = tmp_path / "0", tmp_path / "1"
+        files = sorted(p.relative_to(zero) for p in zero.rglob("*") if p.is_file())
+        assert {f.parts[0] for f in files} == {"communities", "analysis"}
+        for f in files:
+            assert (zero / f).read_bytes() == (one / f).read_bytes(), f
+
     def test_config_block(self, small_run, tmp_path):
         # every key goes into config_digest; a changed value changes the digest
         emit_report(small_run, tmp_path)
