@@ -59,7 +59,6 @@ from .pipeline import (
     emit_report,
     load_panel,
     run_analysis,
-    run_combined,
     run_per_vehicle,
     sector_distribution,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "filter_by_missing", "fit_csad_basic", "fit_csad_updown",
     "graph_from_tree", "load_bars", "load_panel", "local_move_phase",
     "log_returns", "louvain", "modularity", "mst", "ols", "pearson_matrix",
-    "read_sector_map", "read_subperiods", "run_analysis", "run_combined",
-    "run_per_vehicle", "sector_distribution", "slice_panel", "to_distance",
-    "up_down_masks", "verdict",
+    "read_sector_map", "read_subperiods", "run_analysis", "run_per_vehicle",
+    "sector_distribution", "slice_panel", "to_distance", "up_down_masks",
+    "verdict",
 ]

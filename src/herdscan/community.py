@@ -9,20 +9,23 @@ assignment g is
 
 computed per community as in_c/(2m) - (tot_c/(2m))^2 where in_c sums
 A[i][j] over ordered member pairs (self-loops included) and tot_c sums
-member degrees. A graph computes its degrees and m once and caches them,
-and one pass (``_community_sums``) builds the per-community sums for both
-``modularity`` and the local-move phase, which then updates its copy in
-place as nodes move.
+member degrees. A graph computes its degrees and m once and caches them.
 
 The algorithm alternates a local-move phase (each node greedily joins the
 neighboring community with the largest positive modularity gain) with an
 aggregation phase that collapses every community into one node. Community
 self-loops carry twice the internal edge weight plus member self-loops,
-which keeps both m and Q invariant across aggregation. Each node visit in
-a local-move sweep scans the node's neighbors once; those link weights per
-community serve the removal, every candidate gain and the insertion. All
-sweeps follow a fixed node order and ties break toward the lowest
-community id, so a run is reproducible.
+which keeps both m and Q invariant across aggregation. A local-move phase
+starts from singletons and keeps one sum per community, tot_c. Moving an
+isolated node i into community c changes Q by
+
+    k_i,in/m - tot_c*k_i/(2m^2),
+
+where k_i,in is i's link weight into c: in_c and i's own self-loop enter
+Q both with and without the move and cancel out of the difference. Each
+node visit scans the node's neighbors once; those link weights per
+community serve every candidate gain. All sweeps follow a fixed node order
+and ties break toward the lowest community id, so a run is reproducible.
 """
 
 from __future__ import annotations
@@ -131,9 +134,8 @@ def singleton_assignment(g: WeightedGraph,
     return {node: i for i, node in enumerate(order)}
 
 
-def _community_sums(g: WeightedGraph, assignment: Mapping[Node, int]
-                    ) -> tuple[dict[int, float], dict[int, float]]:
-    """Per community: internal ordered-pair weight and member degree sum."""
+def modularity(g: WeightedGraph, assignment: Mapping[Node, int]) -> float:
+    """Evaluate Q for an assignment covering every node."""
     for node in g.nodes:
         if node not in assignment:
             raise UncoveredNode(node)
@@ -147,52 +149,44 @@ def _community_sums(g: WeightedGraph, assignment: Mapping[Node, int]
             if assignment[nbr] == cid:
                 inside += w
         internal[cid] = internal.get(cid, 0.0) + inside
-    return internal, degree_sum
-
-
-def modularity(g: WeightedGraph, assignment: Mapping[Node, int]) -> float:
-    """Evaluate Q for an assignment covering every node."""
     two_m = 2.0 * g.total_weight
-    internal, degree_sum = _community_sums(g, assignment)
     return sum(internal[c] / two_m - (degree_sum[c] / two_m) ** 2
                for c in internal)
 
 
-def _gain(sig_in: float, sig_tot: float, k_i: float, k_in: float,
-          two_m: float) -> float:
+def _gain(sig_tot: float, k_i: float, k_in: float, m: float) -> float:
     """Modularity gain from inserting an isolated node into a community.
 
-    ``sig_in`` and ``sig_tot`` are the target's sums without the node,
-    ``k_i`` is the node's degree and ``k_in`` its link weight into the
-    target. The value equals the exact difference in Q between the joined
-    and the isolated configuration.
+    ``sig_tot`` is the target's degree sum without the node, ``k_i`` the
+    node's degree and ``k_in`` its link weight into the target. The
+    target's internal weight cancels out of the difference in Q between
+    the joined and the isolated configuration, so it is not an input.
     """
-    joined = (sig_in + 2.0 * k_in) / two_m - ((sig_tot + k_i) / two_m) ** 2
-    apart = sig_in / two_m - (sig_tot / two_m) ** 2 - (k_i / two_m) ** 2
-    return joined - apart
+    return k_in / m - sig_tot * k_i / (2.0 * m * m)
 
 
-def local_move_phase(g: WeightedGraph,
-                     initial: Mapping[Node, int] | None = None,
-                     *, order: Sequence[Node] | None = None) -> Partition:
+def local_move_phase(g: WeightedGraph, *,
+                     order: Sequence[Node] | None = None) -> Partition:
     """Sweep nodes in fixed order, greedily re-homing each one.
 
+    Every node starts in its own community, numbered by its position in
+    ``order``, which must hold every node (``UncoveredNode`` otherwise).
     Each node moves to the neighboring community with the largest gain, if
     it beats staying put by more than ``GAIN_TOL`` (1e-12); the phase ends
-    when a full sweep moves nothing. The returned modularity is never below
-    the initial one. ``initial`` must cover every node (``UncoveredNode``
-    otherwise); its labels need not be dense.
+    when a full sweep moves nothing, so the returned modularity is never
+    below the singletons'.
 
-    sigma_in (ordered-pair internal weight) and sigma_tot (member degree
-    sum) per community are built once; each visit takes the node out of
-    its community, picks the best one and puts it back, updating both.
+    sigma_tot (member degree sum) per community is the only state besides
+    the assignment: each visit takes the node's degree out of its
+    community's sum, picks the best community and adds it back there.
     """
     order = list(order) if order is not None else _default_order(g)
-    if initial is None:
-        initial = singleton_assignment(g, order)
-    sigma_in, sigma_tot = _community_sums(g, initial)
-    community_of = {n: initial[n] for n in g.nodes}
-    two_m = 2.0 * g.total_weight
+    community_of = singleton_assignment(g, order)
+    for node in g.nodes:
+        if node not in community_of:
+            raise UncoveredNode(node)
+    sigma_tot = [g.degrees[node] for node in order]
+    m = g.total_weight
 
     while True:
         moved = False
@@ -202,23 +196,18 @@ def local_move_phase(g: WeightedGraph,
                 cid = community_of[nbr]
                 weights[cid] = weights.get(cid, 0.0) + w
             k_i = g.degrees[node]
-            loop = g.self_loops[node]
             current = community_of[node]
             sigma_tot[current] -= k_i
-            sigma_in[current] -= 2.0 * weights.get(current, 0.0) + loop
             best_cid = current
-            best_gain = _gain(sigma_in[current], sigma_tot[current], k_i,
-                              weights.get(current, 0.0), two_m)
+            best_gain = _gain(sigma_tot[current], k_i,
+                              weights.get(current, 0.0), m)
             for cid in sorted(weights):
                 if cid == current:
                     continue
-                gain = _gain(sigma_in[cid], sigma_tot[cid], k_i, weights[cid],
-                             two_m)
+                gain = _gain(sigma_tot[cid], k_i, weights[cid], m)
                 if gain > best_gain + GAIN_TOL:
                     best_cid, best_gain = cid, gain
             sigma_tot[best_cid] += k_i
-            sigma_in[best_cid] = (sigma_in[best_cid]
-                                  + 2.0 * weights.get(best_cid, 0.0) + loop)
             community_of[node] = best_cid
             if best_cid != current:
                 moved = True

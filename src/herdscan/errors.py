@@ -90,9 +90,10 @@ class EmptyInput(DataError):
 # --- graph / community ----------------------------------------------------
 
 class ZeroVarianceAsset(DataError):
-    def __init__(self, ticker: str):
+    def __init__(self, ticker: str, first, last):
         self.ticker = ticker
-        super().__init__(f"asset {ticker} has (near-)zero return variance")
+        super().__init__(f"asset {ticker} has (near-)zero return variance"
+                         f" from {first} to {last}")
 
 
 class UncoveredNode(HerdscanError):

@@ -87,7 +87,7 @@ def pearson_matrix(rp: ReturnPanel) -> CorrelationMatrix:
     """Pairwise Pearson correlations of asset returns over the panel window."""
     flat = np.flatnonzero(rp.returns.var(axis=1) < MIN_RETURN_VARIANCE)
     if flat.size:
-        raise ZeroVarianceAsset(rp.tickers[flat[0]])
+        raise ZeroVarianceAsset(rp.tickers[flat[0]], rp.grid[0], rp.grid[-1])
     corr = np.corrcoef(rp.returns)
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)

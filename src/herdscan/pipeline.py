@@ -6,10 +6,10 @@ period: slice the panel and take log returns once, fit the dispersion
 regressions on each vehicle class's assets, then cluster the whole
 cross-vehicle panel (correlations, spanning tree, community detection) and
 fit the regressions inside each community, with the community's own mean
-return as the market return. Each of the four entry points
-(``run_analysis``, ``run_per_vehicle``, ``run_combined``,
-``community_structure``) loops over one generator of per-period returns,
-``_period_returns``, and runs the steps it reports.
+return as the market return. Each of the three entry points
+(``run_analysis``, ``run_per_vehicle``, ``community_structure``) loops
+over one generator of per-period returns, ``_period_returns``, and runs
+the steps it reports.
 
 Sub-periods are independent work units, run one after another in one loop:
 on a 2-core x86-64 machine a thread pool over them was no faster end to end
@@ -398,21 +398,6 @@ def _check_proxy(panel: AlignedPanel, proxy: str | None) -> None:
     """ConfigError unless ``proxy`` is None or a ticker of the panel."""
     if proxy is not None and proxy not in panel.tickers:
         raise ConfigError(f"beta proxy {proxy!r} not in the panel")
-
-
-def run_combined(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
-                 min_community_size: int = DEFAULT_MIN_COMMUNITY_SIZE,
-                 louvain_weights: str = "unit", hac: bool = False,
-                 ) -> dict[str, tuple[CommunityReport, ...]]:
-    """Community detection plus per-community herding for every sub-period."""
-    _check_communities(louvain_weights, min_community_size)
-    combined = {}
-    with _one_blas_thread():
-        for name, rp in _period_returns(panel, subs):
-            _, partition = _structure(rp, louvain_weights)
-            combined[name] = _community_reports(rp, partition, name,
-                                                min_community_size, hac)
-    return combined
 
 
 def community_structure(panel: AlignedPanel, subs: Sequence[SubPeriod], *,

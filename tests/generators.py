@@ -15,7 +15,7 @@ from datetime import date
 
 import numpy as np
 
-from herdscan.ingest import AlignedPanel, AssetMeta, Sector, Vehicle
+from herdscan.ingest import AlignedPanel, AssetMeta, Sector, SubPeriod, Vehicle
 from herdscan.returns import CsadSeries
 
 FACTOR_STD = 0.025  # market-return scale used by all generators
@@ -210,3 +210,13 @@ def random_walk_panel(seed: int, n_assets: int, n_bars: int,
     if metas is None:
         metas = [stock_meta(f"S{i:03d}") for i in range(n_assets)]
     return panel_from_returns(returns, metas, start=start)
+
+
+def flat_day_panel() -> tuple[AlignedPanel, SubPeriod]:
+    """12 random-walk stocks, S003's price held flat all of 2019-04-03, and
+    that day as a sub-period: the vehicle fit works, the correlations cannot."""
+    panel = random_walk_panel(0, 12, 260)
+    day = panel.grid.astype("datetime64[D]") == np.datetime64("2019-04-03")
+    row = panel.tickers.index("S003")
+    panel.prices[row, day] = panel.prices[row, day][0]
+    return panel, SubPeriod("flat", date(2019, 4, 3), date(2019, 4, 3))

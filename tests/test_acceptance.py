@@ -18,7 +18,7 @@ from herdscan.community import louvain
 from herdscan.econometrics import fit_csad_basic, fit_csad_updown, ols, verdict
 from herdscan.graph import mst, pearson_matrix, to_distance
 from herdscan.ingest import read_sector_map, read_subperiods
-from herdscan.pipeline import emit_report, load_panel, run_analysis, run_combined
+from herdscan.pipeline import emit_report, load_panel, run_analysis
 from herdscan.returns import csad, log_returns
 from herdscan.data import sector_map_path, subperiods_path
 
@@ -169,7 +169,7 @@ def test_criterion_7_planted_partition_recovery():
     verdicts_ok = 0
     for seed in range(100):
         panel, truth = planted_two_block_panel(seed)
-        reports = run_combined(panel, [], louvain_weights="similarity")["full"]
+        reports = run_analysis(panel, [], louvain_weights="similarity").combined["full"]
         membership = {t: r.community_id for r in reports for t in r.members}
         found = np.array([membership[t] for t in truth["A"] + truth["B"]])
         planted = np.array([0] * 10 + [1] * 10)

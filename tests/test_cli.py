@@ -18,7 +18,7 @@ from herdscan.pipeline import (
 )
 from herdscan.returns import csad, log_returns
 
-from generators import vehicle_event_panel
+from generators import flat_day_panel, vehicle_event_panel
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +325,29 @@ def test_semicolon_in_unmapped_file_name_is_config_error(data_dir, tmp_path, com
     assert main(args) == 2
     assert "config error: ticker 'A;B' holds one of" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "communities"])
+def test_flat_asset_error_names_the_period(tmp_path, command, capsys):
+    panel, flat = flat_day_panel()
+    bars = tmp_path / "bars"
+    bars.mkdir()
+    stamps = [str(t).replace("T", " ")[:16] for t in panel.grid]
+    for ticker, prices in zip(panel.tickers, panel.prices):
+        rows = [f"{ts},{p:.8f}" for ts, p in zip(stamps, prices)]
+        (bars / f"{ticker}.csv").write_text("\n".join(rows) + "\n")
+    subs = tmp_path / "subs.csv"
+    subs.write_text(f"{flat.name},{flat.start},{flat.end}\n")
+    args = [command, "--data-dir", str(bars), "--subperiods", str(subs),
+            "--out", str(tmp_path / "out")]
+    if command == "analyze":
+        sectors = tmp_path / "sectors.txt"
+        sectors.write_text("".join(f"{t} stock Energy\n" for t in panel.tickers))
+        args += ["--sectors", str(sectors)]
+    assert main(args) == 3
+    assert ("data error: asset S003 has (near-)zero return variance"
+            " from 2019-04-03T10:00:00 to 2019-04-03T15:30:00"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["communities", "csad"])

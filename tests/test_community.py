@@ -10,7 +10,6 @@ from herdscan.community import (
     GAIN_TOL,
     Partition,
     WeightedGraph,
-    _community_sums,
     _gain,
     aggregate,
     graph_from_tree,
@@ -150,19 +149,22 @@ class TestModularity:
 
 
 def isolated_sums(g, assignment, node):
-    """Community sums with ``node`` moved to a fresh id, and its link weights."""
-    fresh = max(assignment.values()) + 1
-    sig_in, sig_tot = _community_sums(g, {**assignment, node: fresh})
+    """Degree sums per community without ``node``, and its link weights."""
+    sig_tot = {}
+    for other in g.nodes:
+        if other != node:
+            cid = assignment[other]
+            sig_tot[cid] = sig_tot.get(cid, 0.0) + g.degrees[other]
     k_in = {}
     for nbr, w in g.adjacency[node]:
         k_in[assignment[nbr]] = k_in.get(assignment[nbr], 0.0) + w
-    return sig_in, sig_tot, k_in
+    return sig_tot, k_in
 
 
 def gain(g, node, target, sums):
-    sig_in, sig_tot, k_in = sums
-    return _gain(sig_in.get(target, 0.0), sig_tot.get(target, 0.0),
-                 g.degrees[node], k_in.get(target, 0.0), 2.0 * g.total_weight)
+    sig_tot, k_in = sums
+    return _gain(sig_tot.get(target, 0.0), g.degrees[node],
+                 k_in.get(target, 0.0), g.total_weight)
 
 
 class TestGain:
@@ -176,7 +178,7 @@ class TestGain:
         g = two_triangles()
         assignment = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
         sums = isolated_sums(g, assignment, 0)
-        assert 1 not in sums[2]  # no links into the other triangle
+        assert 1 not in sums[1]  # no links into the other triangle
         assert gain(g, 0, 1, sums) < 0
 
     def test_barbell_cross_move_negative(self):
@@ -230,13 +232,6 @@ class TestLocalMovePhase:
         q_opt, _ = best_partition(adjacency_matrix(g))
         assert part.modularity == pytest.approx(q_opt, abs=1e-9)
 
-    def test_fixed_point_unchanged(self):
-        g = barbell()
-        optimal = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
-        part = local_move_phase(g, optimal)
-        assert communities_as_sets(part) == {frozenset({0, 1, 2}),
-                                             frozenset({3, 4, 5})}
-
     def test_single_edge_merges(self):
         g = graph(2, [(0, 1)])
         part = local_move_phase(g)
@@ -245,25 +240,13 @@ class TestLocalMovePhase:
         # the accepted move gains exactly +0.5 over the singleton split
         assert part.modularity - modularity(g, {0: 0, 1: 1}) == pytest.approx(0.5)
 
-    def test_never_decreases_modularity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            g = random_connected_graph(rng, int(rng.integers(3, 9)))
-            n = len(g.nodes)
-            labels = rng.integers(0, 3, n)
-            initial = {i: int(labels[i]) for i in range(n)}
-            q0 = modularity(g, initial)
-            part = local_move_phase(g, initial)
-            assert part.modularity >= q0 - 1e-12
-
     def test_uncovered_node(self):
         with pytest.raises(UncoveredNode):
-            local_move_phase(barbell(), {i: 0 for i in range(5)})
+            local_move_phase(barbell(), order=range(5))
 
     def test_matches_full_recomputation_reference(self):
-        # the incremental bookkeeping must pick the same move at every visit
-        # as recomputing Q from scratch; sigma_in cancels out of each gain,
-        # so it is sigma_tot that this can catch
+        # the incremental degree sums must pick the same move at every visit
+        # as recomputing Q from scratch
         rng = np.random.default_rng(25)
         for trial in range(240):
             n = int(rng.integers(2, 11))
@@ -278,17 +261,10 @@ class TestLocalMovePhase:
                 continue
             g = WeightedGraph.from_edges(range(n), edges, self_loops=loops)
             A = adjacency_matrix(g) + np.diag([g.self_loops[i] for i in range(n)])
-            order = (list(range(n)) if trial % 3 == 0
-                     else [int(i) for i in rng.permutation(n)])
-            if trial % 5 == 0:
-                initial = None
-                labels = np.empty(n, dtype=int)
-                labels[order] = np.arange(n)
-            else:
-                # sparse, unordered labels, negative ones included
-                labels = rng.choice([-7, 3, 11, 40, 1000], n)
-                initial = {i: int(labels[i]) for i in range(n)}
-            part = local_move_phase(g, initial, order=order)
+            order = [int(i) for i in rng.permutation(n)]
+            labels = np.empty(n, dtype=int)
+            labels[order] = np.arange(n)
+            part = local_move_phase(g, order=order)
             expected = local_move_labels(A, labels, order, GAIN_TOL)
             assert part.assignment == Partition.from_assignment(
                 g, {i: int(expected[i]) for i in range(n)}, order=order

@@ -38,13 +38,13 @@ from herdscan.pipeline import (
     full_subperiod,
     load_panel,
     run_analysis,
-    run_combined,
     run_per_vehicle,
     sector_distribution,
     thread_cap,
 )
 from herdscan.returns import CsadSeries, csad, log_returns
 from generators import (
+    flat_day_panel,
     panel_from_returns,
     planted_two_block_panel,
     random_walk_panel,
@@ -176,6 +176,11 @@ class TestRunPerVehicle:
             assert repr(cell) == repr(pipeline.VehicleCell(vehicle, sub_name, *expected))
 
 
+def run_combined(panel, subs, **options):
+    """The per-community reports of ``run_analysis``, per sub-period."""
+    return run_analysis(panel, subs, **options).combined
+
+
 class TestRunCombined:
     def test_planted_blocks_recovered_with_verdicts(self):
         hits = 0
@@ -267,8 +272,6 @@ class TestCombinedPass:
             run = run_analysis(panel, subs, louvain_weights=weights, hac=hac)
             assert (repr(run_per_vehicle(panel, subs, hac=hac))
                     == repr(run.per_vehicle))
-            assert (repr(run_combined(panel, subs, louvain_weights=weights, hac=hac))
-                    == repr(run.combined))
             assert tuple(structures) == run.sub_names == ("event", "empty", "calm",
                                                           "full")
             assert structures["empty"] == (None, None)
@@ -301,6 +304,17 @@ class TestCombinedPass:
                 for members in map(set, partition.communities):
                     inside = sum(e.a in members and e.b in members for e in tree.edges)
                     assert inside == len(members) - 1, (seed, name, sorted(members))
+
+    def test_flat_asset_error_names_the_period(self):
+        # the vehicle fit of the flat day works; its correlations cannot
+        panel, flat = flat_day_panel()
+        cell = run_per_vehicle(panel, [flat])[Vehicle.STOCK, "flat"]
+        assert cell.skipped_reason is None and cell.verdict is not None
+        with pytest.raises(ZeroVarianceAsset) as err:
+            run_analysis(panel, [flat])
+        assert err.value.ticker == "S003"
+        assert str(err.value) == ("asset S003 has (near-)zero return variance"
+                                  " from 2019-04-03T10:00:00 to 2019-04-03T15:30:00")
 
     @pytest.mark.parametrize("entry", ["run_analysis", "run_combined"])
     def test_min_community_size_below_two_rejected(self, entry):
