@@ -19,7 +19,6 @@ from .community import (
 from .econometrics import (
     BetaReport,
     HerdingVerdict,
-    Model,
     RegressionFit,
     Significance,
     beta_distance_stats,
@@ -69,7 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignedPanel", "AnalysisRun", "AssetMeta", "BetaReport",
     "CommunityReport", "CorrelationMatrix", "CsadSeries", "DistanceMatrix",
-    "HerdingVerdict", "Model", "Partition", "RawSeries", "RegressionFit",
+    "HerdingVerdict", "Partition", "RawSeries", "RegressionFit",
     "ReturnPanel", "Sector", "Significance", "SpanningTree", "SubPeriod",
     "Vehicle", "VehicleCell", "WeightedGraph",
     "aggregate", "align", "beta_distance_stats", "capm_beta",

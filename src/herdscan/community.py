@@ -24,7 +24,8 @@ isolated node i into community c changes Q by
 where k_i,in is i's link weight into c: in_c and i's own self-loop enter
 Q both with and without the move and cancel out of the difference. Each
 node visit scans the node's neighbors once; those link weights per
-community serve every candidate gain. All sweeps follow a fixed node order
+community serve every candidate gain. Every sweep visits the nodes in
+ascending order, at every level (an aggregate graph's nodes are 0..C-1),
 and ties break toward the lowest community id, so a run is reproducible.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 from .errors import DataError, UncoveredNode
 from .graph import SpanningTree
@@ -104,9 +105,14 @@ class Partition:
     modularity: float
 
     @classmethod
-    def from_assignment(cls, g: WeightedGraph, assignment: Mapping[Node, int],
-                        order: Sequence[Node] | None = None) -> "Partition":
-        order = list(order) if order is not None else _default_order(g)
+    def from_assignment(cls, g: WeightedGraph,
+                        assignment: Mapping[Node, int]) -> "Partition":
+        """Number communities densely by first member in ascending node order.
+
+        Each community lists its members in ascending order; a node missing
+        from ``assignment`` raises ``UncoveredNode``.
+        """
+        order = sorted(g.nodes)
         relabel: dict[int, int] = {}
         dense: dict[Node, int] = {}
         for node in order:
@@ -124,14 +130,9 @@ class Partition:
                    modularity=modularity(g, dense))
 
 
-def _default_order(g: WeightedGraph) -> list:
-    return sorted(g.nodes)
-
-
-def singleton_assignment(g: WeightedGraph,
-                         order: Sequence[Node] | None = None) -> dict:
-    order = list(order) if order is not None else _default_order(g)
-    return {node: i for i, node in enumerate(order)}
+def singleton_assignment(g: WeightedGraph) -> dict:
+    """Every node alone, numbered by its place in ascending node order."""
+    return {node: i for i, node in enumerate(sorted(g.nodes))}
 
 
 def modularity(g: WeightedGraph, assignment: Mapping[Node, int]) -> float:
@@ -165,26 +166,21 @@ def _gain(sig_tot: float, k_i: float, k_in: float, m: float) -> float:
     return k_in / m - sig_tot * k_i / (2.0 * m * m)
 
 
-def local_move_phase(g: WeightedGraph, *,
-                     order: Sequence[Node] | None = None) -> Partition:
-    """Sweep nodes in fixed order, greedily re-homing each one.
+def local_move_phase(g: WeightedGraph) -> Partition:
+    """Sweep nodes in ascending order, greedily re-homing each one.
 
-    Every node starts in its own community, numbered by its position in
-    ``order``, which must hold every node (``UncoveredNode`` otherwise).
-    Each node moves to the neighboring community with the largest gain, if
-    it beats staying put by more than ``GAIN_TOL`` (1e-12); the phase ends
-    when a full sweep moves nothing, so the returned modularity is never
-    below the singletons'.
+    Every node starts in its own community, numbered by its place in
+    ascending node order. Each node moves to the neighboring community with
+    the largest gain, if it beats staying put by more than ``GAIN_TOL``
+    (1e-12); the phase ends when a full sweep moves nothing, so the returned
+    modularity is never below the singletons'.
 
     sigma_tot (member degree sum) per community is the only state besides
     the assignment: each visit takes the node's degree out of its
     community's sum, picks the best community and adds it back there.
     """
-    order = list(order) if order is not None else _default_order(g)
-    community_of = singleton_assignment(g, order)
-    for node in g.nodes:
-        if node not in community_of:
-            raise UncoveredNode(node)
+    community_of = singleton_assignment(g)
+    order = list(community_of)
     sigma_tot = [g.degrees[node] for node in order]
     m = g.total_weight
 
@@ -213,7 +209,7 @@ def local_move_phase(g: WeightedGraph, *,
                 moved = True
         if not moved:
             break
-    return Partition.from_assignment(g, community_of, order=order)
+    return Partition.from_assignment(g, community_of)
 
 
 def aggregate(g: WeightedGraph, p: Partition) -> WeightedGraph:
@@ -242,26 +238,25 @@ def aggregate(g: WeightedGraph, p: Partition) -> WeightedGraph:
     )
 
 
-def louvain(g: WeightedGraph, *, order: Sequence[Node] | None = None,
-            record: list | None = None) -> Partition:
+def louvain(g: WeightedGraph, *, record: list | None = None) -> Partition:
     """Full Louvain: alternate local moves and aggregation to a fixed point.
 
-    It stops once a local-move phase gains no more than ``GAIN_TOL`` (1e-12).
+    Every level visits its nodes in ascending order: the input graph's
+    nodes as they sort, an aggregate graph's community ids 0..C-1. It stops
+    once a local-move phase gains no more than ``GAIN_TOL`` (1e-12).
 
     ``record``, when given, accumulates (stage, modularity, m) tuples for
     every phase, which makes the monotonicity of Q and the conservation of
     m across aggregations checkable from outside.
     """
-    order0 = list(order) if order is not None else _default_order(g)
     node_to_comm = {n: n for n in g.nodes}  # original -> current-level node
     current = g
-    current_order: Sequence[Node] = order0
-    best_q = modularity(current, singleton_assignment(current, current_order))
+    best_q = modularity(current, singleton_assignment(current))
     if record is not None:
         record.append(("init", best_q, current.total_weight))
 
     while True:
-        part = local_move_phase(current, order=current_order)
+        part = local_move_phase(current)
         if record is not None:
             record.append(("local_move", part.modularity, current.total_weight))
         if part.modularity - best_q <= GAIN_TOL:
@@ -271,13 +266,11 @@ def louvain(g: WeightedGraph, *, order: Sequence[Node] | None = None,
         if len(part.communities) == len(current.nodes):
             break
         current = aggregate(current, part)
-        current_order = list(range(len(current.nodes)))
         if record is not None:
-            q_trivial = modularity(
-                current, singleton_assignment(current, current_order))
+            q_trivial = modularity(current, singleton_assignment(current))
             record.append(("aggregate", q_trivial, current.total_weight))
 
-    return Partition.from_assignment(g, node_to_comm, order=order0)
+    return Partition.from_assignment(g, node_to_comm)
 
 
 #: Edge weightings ``graph_from_tree`` accepts.

@@ -85,12 +85,6 @@ MIN_OBS = 10
 MIN_REGIME = 5
 
 
-class Model(Enum):
-    OLS = "ols"
-    CSAD_BASIC = "csad_basic"
-    CSAD_UPDOWN = "csad_updown"
-
-
 class Significance(Enum):
     AT_1PCT = "1%"
     AT_5PCT = "5%"
@@ -119,7 +113,6 @@ class RegressionFit:
     n_obs: int
     dof: int
     residual_variance: float
-    model: Model
 
     @property
     def degenerate_exact(self) -> bool:
@@ -162,13 +155,15 @@ class BetaReport:
 
 
 def ols(design: np.ndarray, response: np.ndarray, *,
-        hac: bool = False, model: Model = Model.OLS) -> RegressionFit:
+        hac: bool = False) -> RegressionFit:
     """Least squares via pivoted QR with rank checking.
 
     Classical homoskedastic standard errors by default; ``hac=True``
     switches to Newey-West with the usual floor(4*(n/100)^(2/9)) lag.
     Two-sided p-values come from the Student-t with n-k degrees of freedom.
     A NaN or infinite value in the design or the response raises ValueError.
+    The fit's coefficient count, the design's column count, tells which
+    model it is; ``verdict`` checks it.
     """
     X = np.asarray(design, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
@@ -219,7 +214,7 @@ def ols(design: np.ndarray, response: np.ndarray, *,
 
     return RegressionFit(coefficients=coef, std_errors=se, t_stats=t,
                          p_values=_two_sided_p(t, dof), n_obs=n, dof=dof,
-                         residual_variance=s2, model=model)
+                         residual_variance=s2)
 
 
 def _solve_upper(r_mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -296,7 +291,7 @@ def fit_csad_basic(cs: CsadSeries, *, hac: bool = False) -> RegressionFit:
         raise TooFewObservations(f"{len(cs)} observations, need {MIN_OBS}")
     if np.ptp(cs.market_return) == 0:
         raise DegenerateRegressor("market return is constant")
-    return ols(basic_design(cs), cs.csad, hac=hac, model=Model.CSAD_BASIC)
+    return ols(basic_design(cs), cs.csad, hac=hac)
 
 
 def fit_csad_updown(cs: CsadSeries, *, hac: bool = False) -> RegressionFit:
@@ -308,8 +303,7 @@ def fit_csad_updown(cs: CsadSeries, *, hac: bool = False) -> RegressionFit:
     if n_up < MIN_REGIME or n_down < MIN_REGIME:
         raise OneSidedSample(
             f"regime sizes up={n_up}, down={n_down}; need {MIN_REGIME} each")
-    return ols(updown_design(cs, up, down), cs.csad, hac=hac,
-               model=Model.CSAD_UPDOWN)
+    return ols(updown_design(cs, up, down), cs.csad, hac=hac)
 
 
 def verdict(fit4: RegressionFit,
@@ -318,12 +312,16 @@ def verdict(fit4: RegressionFit,
 
     A regime is herded only when its coefficient is negative *and*
     significant at the 10% level or better. Without a split fit the two
-    regime flags are false.
+    regime flags are false. ``fit4`` must have the basic fit's 3
+    coefficients and ``fit5`` the split fit's 5; any other count raises
+    ``ModelMismatch``.
     """
-    if fit4.model is not Model.CSAD_BASIC:
-        raise ModelMismatch(f"expected a basic csad fit, got {fit4.model}")
-    if fit5 is not None and fit5.model is not Model.CSAD_UPDOWN:
-        raise ModelMismatch(f"expected an up/down csad fit, got {fit5.model}")
+    if fit4.coefficients.size != 3:
+        raise ModelMismatch(f"expected a basic csad fit (3 coefficients), "
+                            f"got {fit4.coefficients.size}")
+    if fit5 is not None and fit5.coefficients.size != 5:
+        raise ModelMismatch(f"expected an up/down csad fit (5 coefficients), "
+                            f"got {fit5.coefficients.size}")
 
     beta2 = float(fit4.coefficients[2])
     sig4 = grade_significance(float(fit4.p_values[2]))

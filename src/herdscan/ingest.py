@@ -146,6 +146,14 @@ TRADING_END_MINUTE = 960
 GRID_QUORUM = 0.5
 
 
+def _check_stamps(ts: np.ndarray, what: str) -> None:
+    """DataError unless every stamp is a time (not NaT) after the one before."""
+    if np.isnat(ts).any():
+        raise DataError(f"{what}: NaT is not a time")
+    if not (ts[1:] > ts[:-1]).all():
+        raise DataError(f"{what} not strictly increasing")
+
+
 @dataclass(frozen=True)
 class RawSeries:
     """One asset's close series, strictly increasing timestamps."""
@@ -161,8 +169,7 @@ class RawSeries:
         object.__setattr__(self, "closes", px)
         if ts.shape != px.shape or ts.ndim != 1:
             raise DataError(f"{self.ticker}: timestamps/closes shape mismatch")
-        if ts.size > 1 and not (np.diff(ts.astype("int64")) > 0).all():
-            raise DataError(f"{self.ticker}: timestamps not strictly increasing")
+        _check_stamps(ts, f"{self.ticker}: timestamps")
         if px.size and (not np.isfinite(px).all() or (px <= 0).any()):
             raise DataError(f"{self.ticker}: closes must be finite and positive")
 
@@ -226,8 +233,7 @@ class AlignedPanel:
             raise DataError(f"duplicate tickers in panel: {dupes}")
         if grid.size < 3:
             raise DataError("panel needs at least 3 timestamps")
-        if grid.size > 1 and not (np.diff(grid.astype("int64")) > 0).all():
-            raise DataError("panel grid not strictly increasing")
+        _check_stamps(grid, "panel grid")
         if prices.shape != (len(self.assets), grid.size):
             raise DataError("price matrix shape does not match assets x grid")
         if not np.isfinite(prices).all() or (prices <= 0).any():

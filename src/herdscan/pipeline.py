@@ -142,9 +142,8 @@ class AnalysisRun:
 
     config: dict
     config_digest: str
-    sub_names: tuple[str, ...]  # configured order, "full" last
     per_vehicle: dict[tuple[Vehicle, str], VehicleCell]
-    combined: dict[str, tuple[CommunityReport, ...]]
+    combined: dict[str, tuple[CommunityReport, ...]]  # configured order, "full" last
     trees: dict[str, SpanningTree | None]
     beta_reports: dict[Vehicle, BetaReport]
     timings: dict[str, float] = field(default_factory=dict)
@@ -492,7 +491,6 @@ def run_analysis(panel: AlignedPanel, subs: Sequence[SubPeriod], *,
 
     return AnalysisRun(
         config=config, config_digest=digest,
-        sub_names=tuple(combined),
         per_vehicle=per_vehicle, combined=combined, trees=trees,
         beta_reports=beta_reports, timings=timings,
     )
@@ -646,7 +644,7 @@ def emit_report(run: AnalysisRun, out_dir: Path | str) -> list[Path]:
 
     # verdicts.csv: one row per (vehicle, sub-period)
     vehicles = sorted({v for v, _ in run.per_vehicle}, key=lambda v: v.value)
-    cells = [run.per_vehicle[v, sub] for v in vehicles for sub in run.sub_names
+    cells = [run.per_vehicle[v, sub] for v in vehicles for sub in run.combined
              if (v, sub) in run.per_vehicle]
     files["verdicts.csv"] = _csv(
         ["vehicle", "sub_period", "n_assets", "n_obs", *_VERDICT_COLUMNS,
@@ -655,9 +653,8 @@ def emit_report(run: AnalysisRun, out_dir: Path | str) -> list[Path]:
           *_verdict_fields(c.verdict), c.skipped_reason] for c in cells))
 
     sectors = sorted(Sector, key=lambda s: s.value)
-    for sub in run.sub_names:
+    for sub, reports in run.combined.items():
         slug = file_slug(sub)
-        reports = run.combined.get(sub, ())
         files[f"communities_{slug}.csv"] = _csv(
             ["community_id", "size", "members", *_VERDICT_COLUMNS, "skipped_reason",
              *(f"sector_{s.value}" for s in sectors)],

@@ -196,7 +196,7 @@ def test_criterion_8_structural_checks(big_panel):
     expected = {"Pre-Covid-19", "Covid-19 pandemic", "Post-Covid-19",
                 "Bull market", "Ukraine-Russia conflict", "full"}
     assert set(run.combined) == expected
-    assert set(run.sub_names) == expected
+    assert list(run.combined) == [s.name for s in subs] + ["full"]
     elapsed = time.perf_counter() - t0
     _report(8, "structural checks", elapsed,
             "222 nodes / 221 edges, 5 sub-periods + full")

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import herdscan
 from herdscan.econometrics import (
-    Model,
     Significance,
     _solve_upper,
     _two_sided_p,
@@ -326,7 +325,7 @@ class TestFitCsadBasic:
         fit = fit_csad_basic(csad_series(rm, vals))
         np.testing.assert_allclose(fit.coefficients, [0.5, 2.0, -3.0],
                                    atol=1e-8)
-        assert fit.model is Model.CSAD_BASIC
+        assert fit.coefficients.size == 3
 
     def test_flat_response_insignificant_slopes(self):
         rng = np.random.default_rng(1)
@@ -430,7 +429,7 @@ class TestVerdict:
         rm = rng.normal(0, 0.02, 60)
         vals = np.abs(0.5 + 10.0 * rng.standard_normal(60) - 0.5 * rm ** 2)
         fit = ols(basic_design(csad_series(rm, vals)),
-                  csad_series(rm, vals).csad, model=Model.CSAD_BASIC)
+                  csad_series(rm, vals).csad)
         v = verdict(fit)
         if v.beta2 < 0:
             assert v.beta2_significance is Significance.NOT_SIGNIFICANT
@@ -444,10 +443,13 @@ class TestVerdict:
 
     def test_model_mismatch(self):
         rng = np.random.default_rng(10)
-        X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
+        X = np.column_stack([np.ones(30), rng.normal(size=(30, 3))])
         generic = ols(X, rng.normal(size=30))
         with pytest.raises(ModelMismatch):
             verdict(generic)
+        basic = ols(X[:, :3], rng.normal(size=30))
+        with pytest.raises(ModelMismatch):
+            verdict(basic, basic)
 
     def test_grades(self):
         assert grade_significance(0.005) is Significance.AT_1PCT

@@ -694,6 +694,27 @@ class TestPanelInvariants:
             AlignedPanel(assets=(stock_meta("A"), stock_meta("B"), stock_meta("A")),
                          grid=grid, prices=np.full((3, 5), 1.0))
 
+    @pytest.mark.parametrize("stamps", [["2020-01-02T10:00", "NaT"], ["NaT"]],
+                             ids=["trailing", "only"])
+    def test_series_rejects_nat(self, stamps):
+        # NaT is INT64_MIN: as integers, a stamp minus NaT wraps to a large
+        # positive step
+        with pytest.raises(DataError, match="A: timestamps: NaT"):
+            series("A", np.array(stamps, "datetime64[s]"), [1.0] * len(stamps))
+
+    @pytest.mark.parametrize("stamps", [["2020-01-02T10:00", "2020-01-02T10:00"],
+                                        ["2020-01-02T10:00", "2020-01-02T09:00"]],
+                             ids=["repeated", "decreasing"])
+    def test_series_rejects_unordered_stamps(self, stamps):
+        with pytest.raises(DataError, match="A: timestamps not strictly increasing"):
+            series("A", np.array(stamps, "datetime64[s]"), [1.0, 1.0])
+
+    def test_grid_rejects_trailing_nat(self):
+        grid = np.append(intraday_grid(4), np.datetime64("NaT", "s"))
+        with pytest.raises(DataError, match="panel grid: NaT"):
+            AlignedPanel(assets=(stock_meta("A"), stock_meta("B")),
+                         grid=grid, prices=np.full((2, 5), 1.0))
+
     def test_requires_three_timestamps(self):
         grid = intraday_grid(2)
         with pytest.raises(DataError):

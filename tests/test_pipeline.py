@@ -176,11 +176,6 @@ class TestRunPerVehicle:
             assert repr(cell) == repr(pipeline.VehicleCell(vehicle, sub_name, *expected))
 
 
-def run_combined(panel, subs, **options):
-    """The per-community reports of ``run_analysis``, per sub-period."""
-    return run_analysis(panel, subs, **options).combined
-
-
 class TestRunCombined:
     def test_planted_blocks_recovered_with_verdicts(self):
         hits = 0
@@ -188,7 +183,8 @@ class TestRunCombined:
             panel, truth = planted_two_block_panel(seed)
             # similarity weighting keeps the cross-block bridge weak; on the
             # unit-weight tree the bridge pair itself is the modularity optimum
-            reports = run_combined(panel, [], louvain_weights="similarity")["full"]
+            run = run_analysis(panel, [], louvain_weights="similarity")
+            reports = run.combined["full"]
             membership = {t: r.community_id for r in reports
                           for t in r.members}
             found = np.array([membership[t]
@@ -204,7 +200,7 @@ class TestRunCombined:
 
     def test_sector_mix_reflects_blocks(self):
         panel, truth = planted_two_block_panel(3)
-        reports = run_combined(panel, [], louvain_weights="similarity")["full"]
+        reports = run_analysis(panel, [], louvain_weights="similarity").combined["full"]
         for r in reports:
             mix = r.sector_distribution
             if r.members[0].startswith("A"):
@@ -214,7 +210,7 @@ class TestRunCombined:
 
     def test_below_min_size_skipped(self):
         panel, _ = planted_two_block_panel(0, n_per_block=3)
-        reports = run_combined(panel, [], min_community_size=4)["full"]
+        reports = run_analysis(panel, [], min_community_size=4).combined["full"]
         assert reports  # communities exist
         assert all(r.skipped_reason == "below_min_size" for r in reports
                    if len(r.members) < 4)
@@ -222,8 +218,8 @@ class TestRunCombined:
 
     def test_partition_property(self):
         panel, _ = planted_two_block_panel(1)
-        combined = run_combined(
-            panel, [SubPeriod("half", date(2019, 4, 1), date(2019, 7, 1))])
+        combined = run_analysis(
+            panel, [SubPeriod("half", date(2019, 4, 1), date(2019, 7, 1))]).combined
         for sub, reports in combined.items():
             seen = [t for r in reports for t in r.members]
             assert sorted(seen) == sorted(panel.tickers)
@@ -242,7 +238,7 @@ class TestRunCombined:
                         for _ in range(5)]
         metas = [stock_meta(f"S{i}") for i in range(6)]
         panel = panel_from_returns(np.vstack(rows), metas)
-        combined = run_combined(panel, [])["full"]
+        combined = run_analysis(panel, []).combined["full"]
         assert len(combined) == 1
         per_vehicle = run_per_vehicle(panel, [])
         cell = per_vehicle[(Vehicle.STOCK, "full")]
@@ -255,7 +251,7 @@ def twelve_asset_run_inputs():
 
 
 ENTRY_POINTS = {f.__name__: f for f in (run_analysis, run_per_vehicle,
-                                        run_combined, community_structure)}
+                                        community_structure)}
 
 
 class TestCombinedPass:
@@ -272,8 +268,8 @@ class TestCombinedPass:
             run = run_analysis(panel, subs, louvain_weights=weights, hac=hac)
             assert (repr(run_per_vehicle(panel, subs, hac=hac))
                     == repr(run.per_vehicle))
-            assert tuple(structures) == run.sub_names == ("event", "empty", "calm",
-                                                          "full")
+            assert tuple(structures) == tuple(run.combined) == ("event", "empty",
+                                                                "calm", "full")
             assert structures["empty"] == (None, None)
             assert run.trees["empty"] is None and run.combined["empty"] == ()
             for name, (tree, partition) in structures.items():
@@ -316,7 +312,7 @@ class TestCombinedPass:
         assert str(err.value) == ("asset S003 has (near-)zero return variance"
                                   " from 2019-04-03T10:00:00 to 2019-04-03T15:30:00")
 
-    @pytest.mark.parametrize("entry", ["run_analysis", "run_combined"])
+    @pytest.mark.parametrize("entry", ["run_analysis"])
     def test_min_community_size_below_two_rejected(self, entry):
         panel, event, calm = twelve_asset_run_inputs()
         with pytest.raises(ConfigError, match="min_community_size"):
@@ -343,8 +339,7 @@ class TestCombinedPass:
             run_analysis(panel, [event, calm], beta_proxy=proxy)
         assert calls == []
 
-    @pytest.mark.parametrize("entry", ["run_analysis", "run_combined",
-                                       "community_structure"])
+    @pytest.mark.parametrize("entry", ["run_analysis", "community_structure"])
     def test_unknown_louvain_weights_rejected_before_any_work(self, entry,
                                                               monkeypatch):
         panel, event, calm = twelve_asset_run_inputs()
@@ -537,7 +532,7 @@ class TestEmitReport:
         emit_report(run, tmp_path)
         doc = json.loads((tmp_path / "run.json").read_text())
         assert list(doc["combined"]) == ["full"]
-        assert run.sub_names == ("full",)
+        assert tuple(run.combined) == ("full",)
 
     def test_skipped_community_row(self, tmp_path):
         panel, _ = planted_two_block_panel(0, n_per_block=3)
@@ -614,7 +609,7 @@ class TestReportTables:
                  VehicleCell(Vehicle.CRYPTO, "pre", None, "too_few_assets", 1, 0),
                  VehicleCell(Vehicle.CRYPTO, "full", None, "too_few_assets", 1, 0)]
         run = AnalysisRun(
-            config={}, config_digest="0", sub_names=("pre", "full"),
+            config={}, config_digest="0",
             per_vehicle={(c.vehicle, c.sub_period): c for c in cells},
             combined={
                 "pre": (CommunityReport("pre", 0, ("AAA", "BBB", "CCC", "DDD"), ALL_FLAGS,
@@ -769,7 +764,7 @@ class TestThreadCap:
                                                  calm_bars=350)
         monkeypatch.setenv("HERDSCAN_THREADS", "2")
         run = run_analysis(panel, [event, calm])
-        assert run.sub_names == ("event", "calm", "full")
+        assert tuple(run.combined) == ("event", "calm", "full")
         assert pools == []
         assert thread_cap() == 1
 
@@ -823,8 +818,7 @@ class TestOneBlasThread:
         return counts
 
     @needs_numpy_openblas
-    @pytest.mark.parametrize("entry", ["run_analysis", "run_combined",
-                                       "community_structure"])
+    @pytest.mark.parametrize("entry", ["run_analysis", "community_structure"])
     def test_count_restored_after_a_run(self, entry, blas_threads, counts_in_pass):
         panel = random_walk_panel(4, 6, 260)
         ENTRY_POINTS[entry](panel, quarter_subperiods(panel))
@@ -832,8 +826,7 @@ class TestOneBlasThread:
         assert blas_threads() == 2
 
     @needs_numpy_openblas
-    @pytest.mark.parametrize("entry", ["run_analysis", "run_combined",
-                                       "community_structure"])
+    @pytest.mark.parametrize("entry", ["run_analysis", "community_structure"])
     def test_count_restored_after_a_failed_run(self, entry, blas_threads,
                                                counts_in_pass):
         panel = random_walk_panel(4, 6, 260)
