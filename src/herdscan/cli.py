@@ -40,6 +40,7 @@ from .pipeline import (
     emit_report,
     load_panel,
     run_analysis,
+    thread_cap,
 )
 from .returns import csad, log_returns
 
@@ -112,9 +113,17 @@ def _load(args):
     panel, decisions = load_panel(args.data_dir, sector_map, tz=args.tz)
     elapsed = time.perf_counter() - t0
     rejected = sorted(t for t, d in decisions.items() if not d.accepted)
-    log.info("loaded %d assets x %d bars in %.2fs (%d rejected: %s)",
-             len(panel.assets), panel.grid.size, elapsed,
+    # load_panel parses the files on a pool of this size
+    workers = min(thread_cap(), len(decisions))
+    log.info("loaded %d assets x %d bars in %.2fs on %d parse thread%s"
+             " (%d rejected: %s)", len(panel.assets), panel.grid.size, elapsed,
+             workers, "" if workers == 1 else "s",
              len(rejected), ",".join(rejected) or "-")
+    for ticker in rejected:
+        decision = decisions[ticker]
+        log.warning("rejected %s (%s): %.3f%% of the grid missing, limit %g%%",
+                    ticker, sector_map[ticker].vehicle.value,
+                    100 * decision.missing_fraction, 100 * decision.threshold)
     return panel
 
 

@@ -15,11 +15,12 @@ parsed in one numpy pass. Any other file, and any file with an error in
 it but a repeated stamp, goes through the row-by-row parser, which reads
 every ISO-8601 form ``datetime.fromisoformat`` accepts and reports errors
 with their line number; it cuts each stamp to whole seconds. Both end in
-``_sorted_unique``, which raises a repeated stamp. On the numpy pass, each
-stamp must match its spelling's byte template (digits where digits go,
-``T`` or space, the separators) before numpy's ``datetime64`` cast parses
-it and checks the calendar; year 0, which numpy reads and ``datetime``
-does not, is left to the row parser (see
+``_sorted_unique``, which raises a stamp repeated inside the trading
+window and keeps the first bar of one repeated outside it. On the numpy
+pass, each stamp must match its spelling's byte template (digits where
+digits go, ``T`` or space, the separators) before numpy's ``datetime64``
+cast parses it and checks the calendar; year 0, which numpy reads and
+``datetime`` does not, is left to the row parser (see
 ``_fixed_width_seconds``). Closes of up to 19 bytes, digits with at most
 one dot, are converted by integer arithmetic to the same double ``float()`` gives (see
 ``_gather_floats``); other spellings take numpy's string cast.
@@ -371,7 +372,9 @@ def load_bars(path: Path | str, ticker: str, *,
 
     Accepts 6-column OHLCV or 2-column (timestamp, close) rows; the first
     non-blank line may be a header (see ``_is_header``). Raises MalformedRow,
-    DuplicateTimestamp or NonPositivePrice on defective rows.
+    DuplicateTimestamp or NonPositivePrice on defective rows; a stamp
+    repeated outside the trading window keeps its first bar (see
+    ``_sorted_unique``).
 
     The file is read once. Files in the common spellings are parsed in one
     numpy pass (``_parse_fast``); any other file, and any error but a
@@ -439,14 +442,25 @@ def _parse_rows(data: bytes, zone: ZoneInfo) -> tuple[np.ndarray, np.ndarray]:
 
 def _sorted_unique(stamps: np.ndarray, closes: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """``datetime64[s]`` ``stamps`` and ``closes``, in stamp order;
-    DuplicateTimestamp at the earliest repeated stamp."""
+    """``datetime64[s]`` ``stamps`` and ``closes``, in stamp order, each stamp
+    once; DuplicateTimestamp at the earliest stamp repeated inside the
+    trading window.
+
+    A stamp repeated outside the window keeps its first bar in file order
+    and drops the rest: such bars never reach the grid. This is where the
+    hour that repeats when daylight saving time ends falls, so UTC bars
+    through it (05:30Z and 06:30Z on 2019-11-03 are both 01:30 in New York)
+    do not stop a run.
+    """
     order = np.argsort(stamps, kind="stable")
-    stamps = stamps[order]
-    repeats = np.flatnonzero(stamps[1:] == stamps[:-1])
+    stamps, closes = stamps[order], closes[order]
+    repeats = np.flatnonzero(stamps[1:] == stamps[:-1]) + 1
     if repeats.size:
-        raise DuplicateTimestamp(stamps[repeats[0]].item())
-    return stamps, closes[order]
+        inside = repeats[_window_mask(stamps[repeats])]
+        if inside.size:
+            raise DuplicateTimestamp(stamps[inside[0]].item())
+        stamps, closes = np.delete(stamps, repeats), np.delete(closes, repeats)
+    return stamps, closes
 
 
 #: Bytes only the row parser handles, besides anything non-ASCII.
@@ -469,8 +483,9 @@ def _parse_fast(data: bytes, zone: ZoneInfo) -> tuple[np.ndarray, np.ndarray] | 
     Takes only files it reads exactly as ``_parse_rows`` does: ASCII,
     ``\\n`` line ends, no quotes, 2 or 6 columns on every data line, one
     stamp spelling ``YYYY-MM-DD[T ]HH:MM[:SS][Z]`` throughout, and finite
-    positive closes. A repeated stamp, the one error left then, raises the
-    row parser's DuplicateTimestamp; all else is left to the row parser.
+    positive closes. A stamp repeated inside the trading window, the one
+    error left then, raises the row parser's DuplicateTimestamp; all else is
+    left to the row parser.
     """
     if not data or not data.isascii() or any(c in data for c in _ROW_PARSER_BYTES):
         return None
@@ -760,7 +775,12 @@ def _cast_floats(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 
 def in_window(series: RawSeries) -> np.ndarray:
     """Boolean mask of observations inside the daily trading window."""
-    minutes = ((series.timestamps - series.timestamps.astype("datetime64[D]"))
+    return _window_mask(series.timestamps)
+
+
+def _window_mask(stamps: np.ndarray) -> np.ndarray:
+    """Boolean mask of the ``datetime64[s]`` stamps inside the trading window."""
+    minutes = ((stamps - stamps.astype("datetime64[D]"))
                .astype("timedelta64[m]").astype(np.int64))
     return (minutes >= TRADING_START_MINUTE) & (minutes < TRADING_END_MINUTE)
 

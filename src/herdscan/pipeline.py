@@ -11,16 +11,20 @@ return as the market return. Each of the three entry points
 over one generator of per-period returns, ``_period_returns``, and runs
 the steps it reports.
 
-Sub-periods are independent work units, run one after another in one loop:
-on a 2-core x86-64 machine a thread pool over them was no faster end to end
-on three benchmark workloads (1.6 times slower on many short sub-periods)
-and used 20-28 % more peak memory. Report files are byte-deterministic for
-a given input and configuration, so wall-clock timings never go into them;
-the CLI logs them instead. The three CLI commands' files are written by the
-``emit_*`` functions, all through ``_emit``, which first deletes other
-commands' and earlier runs' files. Every CSV table is spelled by one writer,
-``_csv``: a header line, then one comma-joined line per row, each line ending
-in ``\n`` and each cell spelled by ``_fmt``.
+``load_panel`` parses the bar files on a thread pool of ``thread_cap()``
+workers: the parsers spend most of their time in numpy calls that release
+the GIL, and on a 2-core x86-64 machine two workers parsed 222 files in
+0.47 s against 0.68 s for one. Sub-periods are independent work units too,
+but run one after another in one loop: there a thread pool was no faster
+end to end on three benchmark workloads (1.6 times slower on many short
+sub-periods) and used 20-28 % more peak memory. Report files are
+byte-deterministic for a given input and configuration, so wall-clock
+timings never go into them; the CLI logs them instead. The three CLI
+commands' files are written by the ``emit_*`` functions, all through
+``_emit``, which first deletes other commands' and earlier runs' files.
+Every CSV table is spelled by one writer, ``_csv``: a header line, then one
+comma-joined line per row, each line ending in ``\n`` and each cell spelled
+by ``_fmt``.
 
 While the sub-periods run, numpy's bundled OpenBLAS is held at one thread
 (``_one_blas_thread`` says why); the reports then do not depend on
@@ -32,10 +36,13 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import os
 import threading
 import time as time_mod
-# Unused here; bench/tracer.py swaps it for a tracing pool under --trace 1.
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from collections import deque
+# load_panel looks the pool class up here at each call, so a caller can swap
+# it (bench/tracer.py hands each worker the span that submitted its task).
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
@@ -75,6 +82,7 @@ from .ingest import (
     AlignedPanel,
     AssetMeta,
     FilterDecision,
+    RawSeries,
     Sector,
     SubPeriod,
     Vehicle,
@@ -152,8 +160,18 @@ class AnalysisRun:
 # --- threads -------------------------------------------------------------------
 
 def thread_cap() -> int:
-    """Sub-period workers: always 1 (bench/run.py records it per machine)."""
-    return 1
+    """Bar-file parse workers: 2, or fewer when fewer CPUs are usable.
+
+    Usable CPUs are those of the process's affinity mask where the platform
+    has one, else ``os.cpu_count()``. Two is the count measured to pay on a
+    2-core machine, where three were no faster than two; a larger cap waits
+    for a measurement on more cores. No environment variable sets it.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(2, usable)
 
 
 #: (get, set) symbol pairs of OpenBLAS's thread count, first match wins:
@@ -245,18 +263,34 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
     """Load each file ``bar_files(data_dir)`` names; align the accepted assets.
 
     Every ticker must be in the sector map before any file is parsed. Files
-    load one after another, their stamps read in zone ``tz``. The
-    missing-data filter runs against a provisional grid built from all
-    loaded series; the final grid is rebuilt from the accepted ones. The
-    trading hours, the grid quorum and the missing-data limits are
-    ``ingest`` constants. The returned decisions include rejected tickers.
+    are parsed on ``min(thread_cap(), number of files)`` threads, their
+    stamps read in zone ``tz``; the series come back in file-name order, and
+    a defective file raises what a loop over the files in that order would
+    raise first. The missing-data filter runs against a provisional grid
+    built from all loaded series; the final grid is rebuilt from the
+    accepted ones. The trading hours, the grid quorum and the missing-data
+    limits are ``ingest`` constants. The returned decisions include rejected
+    tickers.
     """
     named = bar_files(data_dir)
     unmapped = sorted(t for t in named if t not in sector_map)
     if unmapped:
         raise ConfigError(f"tickers missing from the sector map: {unmapped}")
 
-    series = [load_bars(p, ticker, tz=tz) for ticker, p in named.items()]
+    workers = min(thread_cap(), len(named))
+    pool = ThreadPoolExecutor(workers)
+    try:
+        # At most 2 tasks per worker wait beyond the one whose result is due,
+        # so a failing file stops the parse after a few more files.
+        tasks: deque = deque()
+        series = []
+        for ticker, path in named.items():
+            tasks.append(pool.submit(load_bars, path, ticker, tz=tz))
+            if len(tasks) > 2 * workers:
+                series.append(_local_copy(tasks.popleft().result()))
+        series.extend(_local_copy(task.result()) for task in tasks)
+    finally:
+        pool.shutdown(cancel_futures=True)
     grid = shared_grid(series)
     decisions = {s.ticker: filter_by_missing(s, grid, sector_map[s.ticker].vehicle)
                  for s in series}
@@ -264,6 +298,18 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
     if len(accepted) < 2:
         raise DataError("fewer than 2 assets pass the missing-data filter")
     return align(accepted, [sector_map[s.ticker] for s in accepted]), decisions
+
+
+def _local_copy(series: RawSeries) -> RawSeries:
+    """``series`` with its arrays copied by the calling thread.
+
+    glibc's malloc serves each worker thread from its own arena, which cannot
+    reuse memory the main thread freed before. Kept as the workers made
+    them, the series of 222 bar files raised peak memory by about 45 MiB;
+    copied here, they fit in the main thread's free memory, and each worker
+    reuses its originals' space for its next file.
+    """
+    return RawSeries(series.ticker, series.timestamps.copy(), series.closes.copy())
 
 
 def full_subperiod(panel: AlignedPanel) -> SubPeriod:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import logging
+import shutil
+from datetime import datetime, time, timezone
+from zoneinfo import ZoneInfo
 
+import numpy as np
 import pytest
 
-from herdscan import cli
+from herdscan import cli, pipeline
 from herdscan.cli import main
 from herdscan.ingest import read_sector_map, read_subperiods
 from herdscan.pipeline import (
@@ -15,6 +20,7 @@ from herdscan.pipeline import (
     emit_report,
     load_panel,
     run_analysis,
+    thread_cap,
 )
 from herdscan.returns import csad, log_returns
 
@@ -357,6 +363,99 @@ def test_unwritable_out_is_io_failure(data_dir, tmp_path, command, capsys):
     args = [command, "--data-dir", str(data_dir["bars"]), "--out", str(out)]
     assert main(args) == 3
     assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_crypto_utc_bars_through_the_fall_back_hour(tmp_path):
+    # Two cryptos with half-hourly UTC bars around the clock through
+    # 2019-11-03, when 05:00Z/06:00Z and 05:30Z/06:30Z fall on one New York
+    # wall-clock time each, outside the trading window, next to three stocks
+    # with New York trading-hour bars.
+    rng = np.random.default_rng(5)
+    utc = np.arange(np.datetime64("2019-10-28T00:00"), np.datetime64("2019-11-09T00:00"),
+                    np.timedelta64(30, "m"))
+    local = np.array([datetime.fromisoformat(str(t)).replace(tzinfo=timezone.utc)
+                      .astimezone(ZoneInfo("America/New_York")).replace(tzinfo=None)
+                      for t in utc])
+    trading = np.array([t.weekday() < 5 and time(9, 30) <= t.time() < time(16)
+                        for t in local])
+    bars = tmp_path / "bars"
+    bars.mkdir()
+    for ticker in ("C00", "C01", "S00", "S01", "S02"):
+        prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.002, utc.size)))
+        if ticker.startswith("C"):
+            rows = [f"{t}:00Z,{p:.6f}" for t, p in zip(utc, prices)]
+        else:
+            rows = [f"{t:%Y-%m-%d %H:%M},{p:.6f}"
+                    for t, p in zip(local[trading], prices[trading])]
+        (bars / f"{ticker}.csv").write_text("\n".join(rows) + "\n")
+    sectors = tmp_path / "sectors.txt"
+    sectors.write_text("C00 crypto Crypto\nC01 crypto Crypto\n"
+                       "S00 stock Energy\nS01 stock Energy\nS02 stock Energy\n")
+    subs = tmp_path / "subs.csv"
+    subs.write_text("before,2019-10-28,2019-11-01\nafter,2019-11-04,2019-11-08\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--data-dir", str(bars), "--sectors", str(sectors),
+                 "--subperiods", str(subs), "--out", str(out)]) == 0
+    config = json.loads((out / "run.json").read_text())["config"]
+    assert config["n_assets"] == 5
+    assert config["n_timestamps"] == 10 * 13
+
+
+class TestLoadLog:
+    @pytest.fixture
+    def bars_with_rejects(self, data_dir, tmp_path):
+        """The CLI dataset with S01 and C02 missing every tenth and every
+        other bar: both rejected."""
+        bars = tmp_path / "bars"
+        shutil.copytree(data_dir["bars"], bars)
+        for ticker, step in (("S01", 10), ("C02", 2)):
+            path = bars / f"{ticker}.csv"
+            lines = path.read_text().splitlines()
+            del lines[1::step]
+            path.write_text("\n".join(lines) + "\n")
+        return bars
+
+    def analyze(self, data_dir, bars, out, caplog) -> list[str]:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="herdscan"):
+            assert main(["analyze", "--data-dir", str(bars),
+                         "--sectors", str(data_dir["sectors"]),
+                         "--subperiods", str(data_dir["subs"]),
+                         "--out", str(out)]) == 0
+        return [r.getMessage() for r in caplog.records if r.name == "herdscan"]
+
+    def test_loaded_line_names_the_pool_size(self, data_dir, bars_with_rejects,
+                                             tmp_path, caplog, monkeypatch):
+        n_files = len(list(bars_with_rejects.glob("*.csv")))
+        lines = self.analyze(data_dir, bars_with_rejects, tmp_path / "a", caplog)
+        [loaded] = [line for line in lines if line.startswith("loaded ")]
+        workers = min(thread_cap(), n_files)
+        assert f" on {workers} parse thread{'s' if workers > 1 else ''} (" in loaded
+        assert loaded.endswith("(2 rejected: C02,S01)")
+        for module in (cli, pipeline):
+            monkeypatch.setattr(module, "thread_cap", lambda: 1)
+        lines = self.analyze(data_dir, bars_with_rejects, tmp_path / "b", caplog)
+        assert [line for line in lines if " on 1 parse thread (" in line]
+        for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
+    def test_one_line_per_rejected_asset(self, data_dir, bars_with_rejects,
+                                         tmp_path, caplog):
+        _, decisions = load_panel(bars_with_rejects,
+                                  read_sector_map(data_dir["sectors"]))
+        lines = self.analyze(data_dir, bars_with_rejects, tmp_path / "out", caplog)
+        rejected = [line for line in lines if line.startswith("rejected ")]
+        assert rejected == [
+            f"rejected C02 (crypto): {100 * decisions['C02'].missing_fraction:.3f}%"
+            " of the grid missing, limit 10%",
+            f"rejected S01 (stock): {100 * decisions['S01'].missing_fraction:.3f}%"
+            " of the grid missing, limit 1%",
+        ]
+        assert 40 < 100 * decisions["C02"].missing_fraction < 60
+        assert 5 < 100 * decisions["S01"].missing_fraction < 15
+        levels = {r.getMessage(): r.levelno for r in caplog.records}
+        assert all(levels[line] == logging.WARNING for line in rejected)
 
 
 class TestCommunities:

@@ -238,12 +238,13 @@ def test_empty_zone_is_the_default_zone(tmp_path, parse, tz):
 
 @pytest.mark.parametrize("text, stamp", [
     ("2019-04-01 09:30,1.0\n2019-04-01 09:30,2.0\n", "2019-04-01 09:30"),
-    # 05:30Z and 06:30Z on 2019-11-03 are both 01:30 in New York
-    ("2019-11-03T05:30:00Z,1.0\n2019-11-03T06:30:00Z,2.0\n", "2019-11-03 01:30"),
     # 10:00 repeats first in the file, 09:30 first in time
     ("2019-04-01 10:00,1.0\n2019-04-01 10:00,2.0\n2019-04-01 09:30,3.0\n"
      "2019-04-01 09:30,4.0\n", "2019-04-01 09:30"),
-], ids=["same_stamp", "fall_back_hour", "earliest_in_time"])
+    # 20:00 repeats first, outside the trading window, so 10:00 is named
+    ("2019-04-01 20:00,1.0\n2019-04-01 20:00,2.0\n2019-04-01 10:00,3.0\n"
+     "2019-04-01 10:00,4.0\n", "2019-04-01 10:00"),
+], ids=["same_stamp", "earliest_in_time", "earliest_in_window"])
 def test_fast_path_raises_the_row_parsers_duplicate(tmp_path, text, stamp):
     data = text.encode("ascii")
     with pytest.raises(DuplicateTimestamp, match=f"^duplicate timestamp {stamp}:00$"):
@@ -252,6 +253,41 @@ def test_fast_path_raises_the_row_parsers_duplicate(tmp_path, text, stamp):
     path = tmp_path / "X.csv"
     path.write_bytes(data)
     assert outcome(load_bars, path, "America/New_York") == parsed(_parse_rows, data)
+
+
+#: Hourly UTC bars through the New York fall-back hour: 05:30Z and 06:30Z
+#: on 2019-11-03 are both 01:30 there, outside the trading window.
+FALL_BACK_UTC = [datetime(2019, 11, 3, h, 30) for h in (4, 5, 6, 7)]
+
+
+@pytest.mark.parametrize("spelling, newline, fast", [
+    ("utc", "\n", True),
+    ("utc", "\r\n", False),
+    ("offset", "\n", False),
+], ids=["z", "crlf", "offset"])
+def test_fall_back_hour_keeps_the_first_bar(tmp_path, spelling, newline, fast):
+    data = "".join(f"{SPELLINGS[spelling](t)},{close}{newline}" for t, close
+                   in zip(FALL_BACK_UTC, ("1.0", "2.0", "3.0", "4.0"))).encode("ascii")
+    assert (_parse_fast(data, NEW_YORK) is not None) == fast
+    path = tmp_path / "X.csv"
+    path.write_bytes(data)
+    series = load_bars(path, "X")
+    assert series.timestamps.tolist() == [datetime(2019, 11, 3, 0, 30),
+                                          datetime(2019, 11, 3, 1, 30),
+                                          datetime(2019, 11, 3, 2, 30)]
+    assert series.closes.tolist() == [1.0, 2.0, 4.0]  # 06:30Z's 3.0 is dropped
+    assert outcome(load_bars, path, "America/New_York") == parsed(_parse_rows, data)
+
+
+def test_repeats_outside_the_window_keep_the_first_bar_in_file_order():
+    # both parsers keep the first bar in file order of the three 20:00 bars
+    # and of the two 08:00 bars
+    data = (b"2019-04-01 20:00,5.0\n2019-04-01 10:00,1.0\n2019-04-01 20:00,6.0\n"
+            b"2019-04-01 08:00,7.0\n2019-04-01 20:00,8.0\n2019-04-01 08:00,9.0\n")
+    expected = ([int(np.datetime64(f"2019-04-01T{hm}", "s").astype(np.int64))
+                 for hm in ("08:00", "10:00", "20:00")], [7.0, 1.0, 5.0])
+    assert parsed(_parse_fast, data) == expected
+    assert parsed(_parse_rows, data) == expected
 
 
 @pytest.mark.parametrize("stamp", [

@@ -6,9 +6,10 @@ import subprocess
 import sys
 import threading
 import time
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 from itertools import product
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from herdscan.errors import (
     DataError,
     EmptyCommunity,
     IoFailure,
+    MalformedRow,
     ZeroVarianceAsset,
 )
 from herdscan.community import Partition
@@ -733,29 +735,51 @@ class TestLoadPanel:
             load_panel(tmp_path, {})
 
 
-class TestThreadCap:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
-        assert thread_cap() == 1
+def usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    # values that once set or were refused as the pool size now change nothing
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The thread pools ``pipeline`` creates while the test runs."""
+    pools = []
+    pool_class = pipeline.ThreadPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(pool_class(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool)
+    return pools
+
+
+class TestThreadCap:
+    def test_default_is_two_at_most(self, monkeypatch):
+        monkeypatch.delenv("HERDSCAN_THREADS", raising=False)
+        assert thread_cap() == min(2, usable_cpus())
+
+    # values that once set or were refused as the pool size change nothing
     @pytest.mark.parametrize("raw", ["3", "zero", "", "0", "-1"])
     def test_env_is_ignored(self, monkeypatch, raw):
         monkeypatch.setenv("HERDSCAN_THREADS", raw)
+        assert thread_cap() == min(2, usable_cpus())
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_affinity_mask_bounds_it(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert thread_cap() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert thread_cap() == 2
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The thread pools ``pipeline`` creates while the test runs."""
-        pools = []
-        pool_class = pipeline.ThreadPoolExecutor
-
-        def counting_pool(*args, **kwargs):
-            pools.append(pool_class(*args, **kwargs))
-            return pools[-1]
-
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool)
-        return pools
+    @pytest.mark.parametrize("count, cap", [(None, 1), (1, 1), (2, 2), (64, 2)])
+    def test_without_affinity_counts_the_cpus(self, monkeypatch, count, cap):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert thread_cap() == cap
 
     def test_default_runs_serially(self, monkeypatch, pools):
         # nothing reads HERDSCAN_THREADS: the sub-period pass is serial
@@ -766,7 +790,132 @@ class TestThreadCap:
         run = run_analysis(panel, [event, calm])
         assert tuple(run.combined) == ("event", "calm", "full")
         assert pools == []
-        assert thread_cap() == 1
+
+
+NEW_YORK = ZoneInfo("America/New_York")
+
+
+def mixed_bar_dir(directory: Path) -> dict[str, AssetMeta]:
+    """Eight stock files, one of each kind ``load_panel`` meets, and their
+    sector map: fast-path files, one with a header and six columns, one with
+    ``\r\n`` line ends and one with ``+00:00`` stamps (both for the row
+    parser), one with ``Z`` stamps, and S007 with only every tenth bar
+    (rejected)."""
+    panel = random_walk_panel(9, 8, 130)
+    write_bar_files(panel, directory)
+    utc = [datetime.fromisoformat(str(t)).replace(tzinfo=NEW_YORK)
+           .astimezone(timezone.utc) for t in panel.grid]
+
+    def rewrite(ticker, rows, newline="\n"):
+        (directory / f"{ticker}.csv").write_bytes(
+            "".join(row + newline for row in rows).encode("ascii"))
+
+    def closes(ticker):
+        return [f"{p:.8f}" for p in panel.prices[panel.tickers.index(ticker)]]
+
+    lines = (directory / "S003.csv").read_text().splitlines()
+    rewrite("S003", ["timestamp,open,high,low,close,volume"]
+            + [f"{t},{c},{c},{c},{c},100" for t, c in (r.split(",") for r in lines)])
+    rewrite("S004", (directory / "S004.csv").read_text().splitlines(), "\r\n")
+    rewrite("S005", [f"{t:%Y-%m-%dT%H:%M:%S}+00:00,{c}"
+                     for t, c in zip(utc, closes("S005"))])
+    rewrite("S006", [f"{t:%Y-%m-%dT%H:%M:%S}Z,{c}" for t, c in zip(utc, closes("S006"))])
+    rewrite("S007", (directory / "S007.csv").read_text().splitlines()[::10])
+    return {t: stock_meta(t) for t in panel.tickers}
+
+
+def with_cap(monkeypatch, cap: int) -> None:
+    monkeypatch.setattr(pipeline, "thread_cap", lambda: cap)
+
+
+class TestParsePool:
+    def test_pool_size_changes_nothing(self, tmp_path, monkeypatch):
+        sector_map = mixed_bar_dir(tmp_path)
+        loads = []
+        for cap in (1, 2, 1, 2):
+            with_cap(monkeypatch, cap)
+            loads.append(load_panel(tmp_path, sector_map))
+        (panel, decisions), *others = loads
+        assert panel.tickers == tuple(f"S00{i}" for i in range(7))
+        assert [t for t, d in decisions.items() if not d.accepted] == ["S007"]
+        assert not panel.fills.any()
+        for other, other_decisions in others:
+            assert other.tickers == panel.tickers
+            assert other.grid.tobytes() == panel.grid.tobytes()
+            assert other.prices.tobytes() == panel.prices.tobytes()
+            assert other.fills.tobytes() == panel.fills.tobytes()
+            assert other_decisions == decisions
+
+    def test_every_kind_of_file_parses_as_alone(self, tmp_path):
+        sector_map = mixed_bar_dir(tmp_path)
+        panel, _ = load_panel(tmp_path, sector_map)
+        for row, ticker in enumerate(panel.tickers):
+            alone = ingest.load_bars(tmp_path / f"{ticker}.csv", ticker)
+            assert alone.timestamps.tobytes() == panel.grid.tobytes()
+            assert alone.closes.tobytes() == panel.prices[row].tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_first_defect_in_name_order_is_raised(self, tmp_path, monkeypatch, cap):
+        panel0 = random_walk_panel(10, 8, 60)
+        write_bar_files(panel0, tmp_path)
+        for ticker, line in (("S002", 3), ("S005", 7)):
+            path = tmp_path / f"{ticker}.csv"
+            lines = path.read_text().splitlines()
+            lines[line - 1] = f"bad-{ticker},1.0"
+            path.write_text("\n".join(lines) + "\n")
+        sector_map = {t: stock_meta(t) for t in panel0.tickers}
+        load_bars = pipeline.load_bars
+
+        def slow_first_defect(path, ticker, *, tz):
+            if ticker == "S002":  # let S005 fail first in time
+                time.sleep(0.05)
+            return load_bars(path, ticker, tz=tz)
+
+        monkeypatch.setattr(pipeline, "load_bars", slow_first_defect)
+        with_cap(monkeypatch, cap)
+        for _ in range(3):
+            with pytest.raises(MalformedRow, match="'bad-S002'") as err:
+                load_panel(tmp_path, sector_map)
+            assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_a_failing_first_file_stops_the_parse(self, tmp_path, monkeypatch, cap):
+        panel0 = random_walk_panel(11, 20, 40)
+        write_bar_files(panel0, tmp_path)
+        sector_map = {t: stock_meta(t) for t in panel0.tickers}
+        load_bars = pipeline.load_bars
+        calls = []
+
+        def failing_first(path, ticker, *, tz):
+            calls.append(ticker)
+            if ticker == "S000":  # the other workers go on meanwhile
+                time.sleep(0.05)
+                raise DataError("first file")
+            return load_bars(path, ticker, tz=tz)
+
+        monkeypatch.setattr(pipeline, "load_bars", failing_first)
+        with_cap(monkeypatch, cap)
+        with pytest.raises(DataError, match="^first file$"):
+            load_panel(tmp_path, sector_map)
+        assert calls[0] == "S000"
+        assert len(calls) <= 1 + 2 * cap
+
+    @pytest.mark.parametrize("cap, n_files, workers", [(2, 3, 2), (4, 3, 3), (1, 3, 1)])
+    def test_one_pool_per_load(self, tmp_path, monkeypatch, pools, cap, n_files,
+                               workers):
+        panel0 = random_walk_panel(12, n_files, 60)
+        write_bar_files(panel0, tmp_path)
+        with_cap(monkeypatch, cap)
+        panel, _ = load_panel(tmp_path, {t: stock_meta(t) for t in panel0.tickers})
+        assert [pool._max_workers for pool in pools] == [workers]
+        run_analysis(panel, [])
+        assert len(pools) == 1
+
+    def test_default_pool_is_the_thread_cap(self, tmp_path, pools):
+        panel0 = random_walk_panel(13, 4, 60)
+        write_bar_files(panel0, tmp_path)
+        load_panel(tmp_path, {t: stock_meta(t) for t in panel0.tickers})
+        assert [pool._max_workers for pool in pools] == [min(thread_cap(), 4)]
 
 
 def quarter_subperiods(panel: AlignedPanel) -> list[SubPeriod]:
