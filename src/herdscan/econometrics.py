@@ -187,8 +187,8 @@ def ols(design: np.ndarray, response: np.ndarray, *,
     diag = np.abs(r_mat.diagonal())
     tol = (diag[0] if diag[0] > 0 else 1.0) * max(n, k) * np.finfo(np.float64).eps
     bad = np.nonzero(diag <= tol)[0]
-    if diag[0] == 0 or bad.size:
-        raise RankDeficient(int(piv[bad[0]] if bad.size else piv[0]))
+    if bad.size:
+        raise RankDeficient(int(piv[bad[0]]))
 
     unpivot = np.argsort(piv)
     coef = _solve_upper(r_mat, q_mat.T @ y)[unpivot]

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -177,17 +177,6 @@ class RawSeries:
     def __len__(self) -> int:
         return int(self.timestamps.size)
 
-    @cached_property
-    def _window(self) -> np.ndarray:
-        """``in_window`` of this series, read-only, computed on first use.
-
-        ``load_panel``'s provisional grid, ``align`` and the grid ``align``
-        builds all ask for it.
-        """
-        mask = in_window(self)
-        mask.flags.writeable = False
-        return mask
-
 
 class FillRecord(NamedTuple):
     ticker: str
@@ -212,7 +201,7 @@ class AlignedPanel:
 
     Rows follow ``assets`` order (ascending ticker); columns follow ``grid``.
     ``fills`` codes each cell 0 = observed, 1 = ffill, 2 = bfill (all 0 if omitted);
-    a restrict or slice of a panel without fills allocates none.
+    ``restrict`` and ``slice_panel`` cut them as they cut the prices.
     """
 
     assets: tuple[AssetMeta, ...]
@@ -259,17 +248,24 @@ class AlignedPanel:
 
     def restrict(self, tickers: Iterable[str]) -> "AlignedPanel":
         """Sub-panel containing only the given tickers (same grid)."""
-        wanted = set(tickers)
-        idx = [i for i, a in enumerate(self.assets) if a.ticker in wanted]
-        missing = wanted - {self.assets[i].ticker for i in idx}
-        if missing:
-            raise DataError(f"tickers not in panel: {sorted(missing)}")
+        rows = _rows(self.assets, tickers)
         return AlignedPanel(
-            assets=tuple(self.assets[i] for i in idx),
+            assets=tuple(self.assets[i] for i in rows),
             grid=self.grid,
-            prices=self.prices[idx],
-            fills=self.fills[idx] if self.fills.any() else None,
+            prices=self.prices[rows],
+            fills=self.fills[rows],
         )
+
+
+def _rows(assets: Sequence[AssetMeta], tickers: Iterable[str]) -> list[int]:
+    """Rows of the assets whose ticker is in ``tickers``, in panel order;
+    DataError if a ticker names no asset."""
+    wanted = set(tickers)
+    rows = [i for i, a in enumerate(assets) if a.ticker in wanted]
+    missing = wanted - {assets[i].ticker for i in rows}
+    if missing:
+        raise DataError(f"tickers not in panel: {sorted(missing)}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -773,16 +769,15 @@ def _cast_floats(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 
 # --- filtering and alignment -------------------------------------------------
 
-def in_window(series: RawSeries) -> np.ndarray:
-    """Boolean mask of observations inside the daily trading window."""
-    return _window_mask(series.timestamps)
-
-
 def _window_mask(stamps: np.ndarray) -> np.ndarray:
-    """Boolean mask of the ``datetime64[s]`` stamps inside the trading window."""
-    minutes = ((stamps - stamps.astype("datetime64[D]"))
-               .astype("timedelta64[m]").astype(np.int64))
-    return (minutes >= TRADING_START_MINUTE) & (minutes < TRADING_END_MINUTE)
+    """Boolean mask of the ``datetime64[s]`` stamps inside the trading window.
+
+    Floor division takes the second of the day; it rounds down, as numpy's
+    cast to days does, so stamps before 1970 get their own day's second too.
+    """
+    since_open = stamps.view(np.int64) - 60 * TRADING_START_MINUTE
+    return (since_open - since_open // 86400 * 86400
+            < 60 * (TRADING_END_MINUTE - TRADING_START_MINUTE))
 
 
 def filter_by_missing(series: RawSeries, grid: Sequence | np.ndarray,
@@ -810,7 +805,7 @@ def shared_grid(series_list: Sequence[RawSeries]) -> np.ndarray:
     """Union of in-window timestamps present in at least ``GRID_QUORUM`` of assets."""
     if not series_list:
         raise EmptyGrid("no series")
-    masks = [s._window for s in series_list]
+    masks = [_window_mask(s.timestamps) for s in series_list]
     stamps = np.empty(sum(int(np.count_nonzero(m)) for m in masks), dtype=np.int64)
     if not stamps.size:
         raise EmptyGrid("no in-window observations in any series")
@@ -840,7 +835,7 @@ def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta]) -> AlignedP
         raise ConfigError(f"no metadata for tickers: {sorted(missing_meta)}")
 
     ordered = sorted(accepted, key=lambda s: s.ticker)
-    masks = [s._window for s in ordered]
+    masks = [_window_mask(s.timestamps) for s in ordered]
     for s, mask in zip(ordered, masks):
         if not mask.any():
             raise UnfillableAsset(s.ticker)
@@ -872,10 +867,10 @@ def slice_panel(panel: AlignedPanel, sub: SubPeriod) -> AlignedPanel:
     """Restrict a panel to [sub.start, sub.end] by calendar date.
 
     The kept columns are one range of the sorted grid, found by bisection.
-    Prices (and fills, if any kept cell is filled) are copied in Fortran
-    order, the layout a boolean column mask gives: ``returns.csad`` averages
-    over assets along axis 0, and the order in which that mean adds up, so
-    the last bits of every report, depends on the layout.
+    Prices are copied in Fortran order, the layout a boolean column mask
+    gives: the last bits of ``returns.csad``'s mean over assets and of the
+    ``np.corrcoef`` in ``graph.pearson_matrix`` depend on the layout. No sum
+    reads the fill codes, so they need no particular layout: they are a view.
     """
     first = np.datetime64(sub.start, "s")
     after = np.datetime64(sub.end, "s") + np.timedelta64(1, "D")
@@ -885,12 +880,11 @@ def slice_panel(panel: AlignedPanel, sub: SubPeriod) -> AlignedPanel:
         raise EmptySlice(f"{sub.name}: no panel timestamps in range")
     if kept < 3:
         raise EmptySlice(f"{sub.name}: only {kept} timestamps in range")
-    fills = panel.fills[:, lo:hi]
     return AlignedPanel(
         assets=panel.assets,
         grid=panel.grid[lo:hi],
         prices=np.array(panel.prices[:, lo:hi], order="F"),
-        fills=np.array(fills, order="F") if fills.any() else None,
+        fills=panel.fills[:, lo:hi],
     )
 
 

@@ -42,7 +42,7 @@ import time as time_mod
 from collections import deque
 # load_panel looks the pool class up here at each call, so a caller can swap
 # it (bench/tracer.py hands each worker the span that submitted its task).
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
@@ -266,11 +266,11 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
     are parsed on ``min(thread_cap(), number of files)`` threads, their
     stamps read in zone ``tz``; the series come back in file-name order, and
     a defective file raises what a loop over the files in that order would
-    raise first. The missing-data filter runs against a provisional grid
-    built from all loaded series; the final grid is rebuilt from the
-    accepted ones. The trading hours, the grid quorum and the missing-data
-    limits are ``ingest`` constants. The returned decisions include rejected
-    tickers.
+    raise first, its message led by the file name. The missing-data filter
+    runs against a provisional grid built from all loaded series; the final
+    grid is rebuilt from the accepted ones. The trading hours, the grid
+    quorum and the missing-data limits are ``ingest`` constants. The
+    returned decisions include rejected tickers.
     """
     named = bar_files(data_dir)
     unmapped = sorted(t for t in named if t not in sector_map)
@@ -285,10 +285,10 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
         tasks: deque = deque()
         series = []
         for ticker, path in named.items():
-            tasks.append(pool.submit(load_bars, path, ticker, tz=tz))
+            tasks.append((path, pool.submit(load_bars, path, ticker, tz=tz)))
             if len(tasks) > 2 * workers:
-                series.append(_local_copy(tasks.popleft().result()))
-        series.extend(_local_copy(task.result()) for task in tasks)
+                series.append(_collect(*tasks.popleft()))
+        series.extend(_collect(*task) for task in tasks)
     finally:
         pool.shutdown(cancel_futures=True)
     grid = shared_grid(series)
@@ -300,8 +300,9 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
     return align(accepted, [sector_map[s.ticker] for s in accepted]), decisions
 
 
-def _local_copy(series: RawSeries) -> RawSeries:
-    """``series`` with its arrays copied by the calling thread.
+def _collect(path: Path, task: Future) -> RawSeries:
+    """The series ``task`` parsed from ``path``, copied by the calling thread;
+    a ``DataError`` is raised again with the file name first in its message.
 
     glibc's malloc serves each worker thread from its own arena, which cannot
     reuse memory the main thread freed before. Kept as the workers made
@@ -309,6 +310,11 @@ def _local_copy(series: RawSeries) -> RawSeries:
     copied here, they fit in the main thread's free memory, and each worker
     reuses its originals' space for its next file.
     """
+    try:
+        series = task.result()
+    except DataError as exc:
+        exc.args = (f"{path.name}: {exc}",)
+        raise
     return RawSeries(series.ticker, series.timestamps.copy(), series.closes.copy())
 
 
@@ -418,8 +424,7 @@ def _community_reports(rp: ReturnPanel | None, partition: Partition | None,
         return ()
     meta_by_ticker = {a.ticker: a for a in rp.assets}
     reports: list[CommunityReport] = []
-    for cid, members in enumerate(partition.communities):
-        tickers = tuple(sorted(members))
+    for cid, tickers in enumerate(partition.communities):
         mix = sector_distribution([meta_by_ticker[t] for t in tickers])
         if len(tickers) < min_community_size:
             v, reason = None, "below_min_size"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ingest import AlignedPanel, AssetMeta
+from .ingest import AlignedPanel, AssetMeta, _rows
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,9 @@ class ReturnPanel:
         return tuple(a.ticker for a in self.assets)
 
     def restrict(self, tickers) -> "ReturnPanel":
-        wanted = set(tickers)
-        idx = [i for i, a in enumerate(self.assets) if a.ticker in wanted]
-        if len(idx) != len(wanted):
-            missing = wanted - {self.assets[i].ticker for i in idx}
-            raise DataError(f"tickers not in return panel: {sorted(missing)}")
-        return ReturnPanel(assets=tuple(self.assets[i] for i in idx),
-                           grid=self.grid, returns=self.returns[idx])
+        rows = _rows(self.assets, tickers)
+        return ReturnPanel(assets=tuple(self.assets[i] for i in rows),
+                           grid=self.grid, returns=self.returns[rows])
 
     def row(self, ticker: str) -> np.ndarray:
         return self.returns[self.tickers.index(ticker)]

@@ -5,9 +5,10 @@ implementations under test: normal-equation least squares, spanning-tree
 enumeration via Prufer sequences, Kruskal's algorithm with component
 relabelling, exhaustive set-partition modularity search, a local-move
 sweep that recomputes modularity at every step, the literal
-lagged-sum form of the Newey-West covariance, and the per-cell fill log
+lagged-sum form of the Newey-West covariance, the per-cell fill log
 that aligned panels carried before their fill array, with the filters
-``restrict`` and ``slice_panel`` applied to it record by record.
+``restrict`` and ``slice_panel`` applied to it record by record, and the
+trading window read off a ``datetime``'s hour and minute.
 
 Two references are the package's own earlier forms, kept for bit-for-bit
 comparison: least squares through scipy's ``qr`` and ``solve_triangular``
@@ -18,6 +19,7 @@ wrappers (``wrapper_ols``), and the sub-period slice by a boolean date mask
 from __future__ import annotations
 
 import math
+from datetime import datetime
 from functools import lru_cache
 from itertools import product
 
@@ -217,6 +219,12 @@ def fill_log(stamps: dict[str, np.ndarray], grid: np.ndarray,
         for col in np.flatnonzero(ts[clipped] != grid):
             records.append((ticker, grid[col], "bfill" if idx[col] < 0 else "ffill"))
     return records
+
+
+def in_trading_window(stamp: datetime, start_minute: int, end_minute: int) -> bool:
+    """Whether the minute of the day of a wall-clock stamp lies in
+    [start_minute, end_minute)."""
+    return start_minute <= stamp.hour * 60 + stamp.minute < end_minute
 
 
 def restrict_fill_log(records: list[tuple], tickers) -> list[tuple]:

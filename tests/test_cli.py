@@ -356,6 +356,17 @@ def test_flat_asset_error_names_the_period(tmp_path, command, capsys):
             in capsys.readouterr().err)
 
 
+def test_data_error_names_the_bar_file(tmp_path, capsys):
+    bars = tmp_path / "bars"
+    bars.mkdir()
+    (bars / "AAA.csv").write_text("2019-04-01 09:30,1.0\nbad,2\n")
+    (bars / "BBB.csv").write_text("2019-04-01 09:30,1.0\n2019-04-01 10:00,2\n")
+    assert main(["csad", "--data-dir", str(bars), "--out", str(tmp_path / "out")]) == 3
+    assert ("data error: AAA.csv: malformed row at line 2: Invalid isoformat"
+            " string: 'bad'" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["communities", "csad"])
 def test_unwritable_out_is_io_failure(data_dir, tmp_path, command, capsys):
     out = tmp_path / "taken"

@@ -92,6 +92,11 @@ class TestOls:
         with pytest.raises(RankDeficient):
             ols(X, rng.normal(size=40))
 
+    def test_all_zero_design_names_column_zero(self):
+        with pytest.raises(RankDeficient) as err:
+            ols(np.zeros((10, 3)), np.ones(10))
+        assert err.value.column == 0
+
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
             ols(np.ones((3, 3)), np.ones(3))

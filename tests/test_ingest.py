@@ -28,6 +28,7 @@ from herdscan.ingest import (
     SubPeriod,
     Vehicle,
     _parse_rows,
+    _window_mask,
     _zone,
     align,
     filter_by_missing,
@@ -353,6 +354,34 @@ def gappy_series(rng, n_assets: int, n_bars: int) -> list[RawSeries]:
 def oracle_fill_log(series: list[RawSeries], grid: np.ndarray) -> list[tuple]:
     return oracles.fill_log({s.ticker: s.timestamps for s in series}, grid,
                             TRADING_START_MINUTE, TRADING_END_MINUTE)
+
+
+def oracle_window(stamps: np.ndarray) -> list[bool]:
+    return [oracles.in_trading_window(t.item(), TRADING_START_MINUTE,
+                                      TRADING_END_MINUTE) for t in stamps]
+
+
+class TestWindowMask:
+    def test_matches_oracle_on_random_stamps(self):
+        rng = np.random.default_rng(29)
+        first, end = np.array(["1900-01-01", "2100-01-01"],
+                              dtype="datetime64[s]").view(np.int64)
+        stamps = rng.integers(first, end, 20_000).view("datetime64[s]")
+        # half of them within two seconds of a window edge
+        days = stamps[::2].astype("datetime64[D]").astype("datetime64[s]")
+        edges = rng.choice([60 * TRADING_START_MINUTE, 60 * TRADING_END_MINUTE],
+                           days.size) + rng.integers(-2, 3, days.size)
+        stamps[::2] = days + edges.astype("timedelta64[s]")
+        assert _window_mask(stamps).tolist() == oracle_window(stamps)
+
+    @pytest.mark.parametrize("day", ["1901-07-01", "1969-12-31", "1970-01-01",
+                                     "2019-04-01"])
+    def test_edges(self, day):
+        stamps = np.array([f"{day}T{t}" for t in ("09:29:59", "09:30:00",
+                                                   "15:59:59", "16:00:00")],
+                          dtype="datetime64[s]")
+        assert _window_mask(stamps).tolist() == [False, True, True, False]
+        assert oracle_window(stamps) == [False, True, True, False]
 
 
 class TestFills:

@@ -692,23 +692,18 @@ class TestLoadPanel:
         np.testing.assert_allclose(panel.prices, panel0.prices, rtol=1e-7)
         assert all(d.accepted for d in decisions.values())
 
-    def test_window_mask_computed_once_per_series(self, tmp_path, monkeypatch):
-        panel0 = random_walk_panel(7, 4, 80)
-        write_bar_files(panel0, tmp_path, ["2019-12-31 20:00,1.0"])  # after hours
-        sector_map = {t: stock_meta(t) for t in panel0.tickers}
-        in_window = ingest.in_window
-        calls = []
-
-        def counting_in_window(series):
-            calls.append(series.ticker)
-            return in_window(series)
-
-        monkeypatch.setattr(ingest, "in_window", counting_in_window)
-        panel, decisions = load_panel(tmp_path, sector_map)
-        assert sorted(calls) == sorted(panel0.tickers)
-        assert panel.tickers == panel0.tickers
-        assert panel.grid.tolist() == panel0.grid.tolist()
-        assert not panel.fills.any() and all(d.accepted for d in decisions.values())
+    def test_bars_at_the_window_edges(self, tmp_path):
+        days = ["1901-07-01", "1969-12-31", "2019-04-01"]
+        edges = ["09:29:59", "09:30:00", "15:59:59", "16:00:00"]
+        stamps = [f"{d} {t}" for d, t in product(days, edges)]
+        rows = [f"{stamp},{i + 1}.5" for i, stamp in enumerate(stamps)]
+        for ticker in ("AAA", "BBB"):
+            (tmp_path / f"{ticker}.csv").write_text("\n".join(rows) + "\n")
+        panel, _ = load_panel(tmp_path, {t: stock_meta(t) for t in ("AAA", "BBB")})
+        assert [str(t).replace("T", " ") for t in panel.grid] == [
+            stamp for stamp in stamps if stamp.endswith(("09:30:00", "15:59:59"))]
+        assert panel.prices.tolist() == [[2.5, 3.5, 6.5, 7.5, 10.5, 11.5]] * 2
+        assert not panel.fills.any()
 
     def test_two_files_for_one_ticker_fail_before_parsing(self, tmp_path,
                                                           monkeypatch):
@@ -874,7 +869,7 @@ class TestParsePool:
         monkeypatch.setattr(pipeline, "load_bars", slow_first_defect)
         with_cap(monkeypatch, cap)
         for _ in range(3):
-            with pytest.raises(MalformedRow, match="'bad-S002'") as err:
+            with pytest.raises(MalformedRow, match="^S002.csv: .*'bad-S002'") as err:
                 load_panel(tmp_path, sector_map)
             assert err.value.line_no == 3
 
@@ -895,7 +890,7 @@ class TestParsePool:
 
         monkeypatch.setattr(pipeline, "load_bars", failing_first)
         with_cap(monkeypatch, cap)
-        with pytest.raises(DataError, match="^first file$"):
+        with pytest.raises(DataError, match="^S000.csv: first file$"):
             load_panel(tmp_path, sector_map)
         assert calls[0] == "S000"
         assert len(calls) <= 1 + 2 * cap
