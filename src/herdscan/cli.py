@@ -20,6 +20,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import data as bundled_data
 from .community import LOUVAIN_WEIGHTINGS
 from .errors import ConfigError, DataError, HerdscanError
@@ -115,10 +117,12 @@ def _load(args):
     rejected = sorted(t for t, d in decisions.items() if not d.accepted)
     # load_panel parses the files on a pool of this size
     workers = min(thread_cap(), len(decisions))
+    ffill, bfill = (np.count_nonzero(panel.fills == code) for code in (1, 2))
     log.info("loaded %d assets x %d bars in %.2fs on %d parse thread%s"
-             " (%d rejected: %s)", len(panel.assets), panel.grid.size, elapsed,
+             " (%d rejected: %s), %d cells forward-filled and %d back-filled",
+             len(panel.assets), panel.grid.size, elapsed,
              workers, "" if workers == 1 else "s",
-             len(rejected), ",".join(rejected) or "-")
+             len(rejected), ",".join(rejected) or "-", ffill, bfill)
     for ticker in rejected:
         decision = decisions[ticker]
         log.warning("rejected %s (%s): %.3f%% of the grid missing, limit %g%%",

@@ -29,6 +29,10 @@ The alignment step restricts every series to the regular trading window
 (09:30 inclusive to 16:00 exclusive), builds a shared grid from
 timestamps present in at least half of the assets, and forward-fills the
 remaining gaps, marking every filled cell in the panel's ``fills`` array.
+It sorts the in-window stamps of all the series into one union once and
+finds each series's stamps there with one search (``_StampIndex``); the
+grids, the missing-data filter's counts and the fills follow from those
+positions.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from datetime import date, datetime
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
@@ -780,44 +784,132 @@ def _window_mask(stamps: np.ndarray) -> np.ndarray:
             < 60 * (TRADING_END_MINUTE - TRADING_START_MINUTE))
 
 
+def _decision(observed: int, size: int, vehicle: Vehicle) -> FilterDecision:
+    """The missing-data decision on an asset that has ``observed`` of the
+    ``size`` grid stamps; the limit is the vehicle's entry in
+    ``DEFAULT_MISSING_THRESHOLDS``."""
+    threshold = DEFAULT_MISSING_THRESHOLDS[vehicle]
+    fraction = float(1.0 - observed / size)
+    return FilterDecision(accepted=fraction <= threshold,
+                          missing_fraction=fraction, threshold=threshold)
+
+
 def filter_by_missing(series: RawSeries, grid: Sequence | np.ndarray,
                       vehicle: Vehicle) -> FilterDecision:
     """Accept/reject an asset by the fraction of grid timestamps it misses.
 
     The limit is the vehicle's entry in ``DEFAULT_MISSING_THRESHOLDS``. The
-    grid is expected sorted and unique, as ``shared_grid`` returns it.
+    grid must be strictly increasing, as ``shared_grid`` returns it; any
+    other grid is a DataError.
     """
     grid_arr = np.asarray(grid, dtype="datetime64[s]")
     if grid_arr.size == 0:
         raise EmptyGrid("cannot filter against an empty grid")
-    threshold = DEFAULT_MISSING_THRESHOLDS[vehicle]
+    _check_stamps(grid_arr, "grid")
     # series stamps are strictly increasing, so each matches one grid stamp
     pos = np.searchsorted(grid_arr, series.timestamps)
     observed = np.count_nonzero(
         grid_arr.take(pos, mode="clip") == series.timestamps)
-    fraction = 1.0 - observed / grid_arr.size
-    return FilterDecision(accepted=fraction <= threshold,
-                          missing_fraction=float(fraction),
-                          threshold=threshold)
+    return _decision(observed, grid_arr.size, vehicle)
+
+
+def _in_window(series: RawSeries) -> tuple[np.ndarray, np.ndarray]:
+    """A series's in-window bars: its stamps as int64 seconds, and its
+    closes; views of the series when every bar is in the window."""
+    stamps = series.timestamps.view(np.int64)
+    mask = _window_mask(series.timestamps)
+    if mask.all():
+        return stamps, series.closes
+    return stamps[mask], series.closes[mask]
+
+
+def _union(stamps: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Every value of the int64 stamp arrays once, ascending, and how many of
+    the arrays hold it (each holds a stamp at most once)."""
+    every = np.concatenate(stamps)
+    if not every.size:
+        raise EmptyGrid("no in-window observations in any series")
+    every.sort()
+    firsts = np.concatenate(([0], np.flatnonzero(every[1:] != every[:-1]) + 1))
+    return every[firsts], np.diff(firsts, append=every.size)
+
+
+def _on_grid(counts: np.ndarray, n_series: int) -> np.ndarray:
+    """Which stamps join the grid of ``n_series`` series, by how many hold them."""
+    return counts >= GRID_QUORUM * n_series
 
 
 def shared_grid(series_list: Sequence[RawSeries]) -> np.ndarray:
     """Union of in-window timestamps present in at least ``GRID_QUORUM`` of assets."""
     if not series_list:
         raise EmptyGrid("no series")
-    masks = [_window_mask(s.timestamps) for s in series_list]
-    stamps = np.empty(sum(int(np.count_nonzero(m)) for m in masks), dtype=np.int64)
-    if not stamps.size:
-        raise EmptyGrid("no in-window observations in any series")
-    filled = 0
-    for s, mask in zip(series_list, masks):
-        chunk = s.timestamps[mask].view(np.int64)
-        stamps[filled:filled + chunk.size] = chunk
-        filled += chunk.size
-    stamps.sort()
-    firsts = np.concatenate(([0], np.flatnonzero(stamps[1:] != stamps[:-1]) + 1))
-    counts = np.diff(firsts, append=stamps.size)
-    return stamps[firsts[counts >= GRID_QUORUM * len(series_list)]].view("datetime64[s]")
+    uniq, counts = _union([_in_window(s)[0] for s in series_list])
+    return uniq[_on_grid(counts, len(series_list))].view("datetime64[s]")
+
+
+class _StampIndex:
+    """The in-window bars of several series, their stamps sorted into one
+    union once.
+
+    ``uniq`` holds every stamp that some series has inside the trading
+    window, once and ascending, and ``counts`` how many series have it.
+    ``locate(i)`` says where series i's in-window stamps sit in ``uniq``.
+    Every one of them is there, so one search per series finds each
+    exactly. A grid, the stamps a series has on it and each row's forward
+    fill all follow from these positions, without another sort or search.
+    """
+
+    def __init__(self, bars: Sequence[tuple[np.ndarray, np.ndarray]]):
+        self.bars = bars
+        self.uniq, self.counts = _union([ts for ts, _ in bars])
+
+    def locate(self, i: int) -> np.ndarray:
+        """The positions of series i's in-window stamps in ``uniq``."""
+        return self.uniq.searchsorted(self.bars[i][0])
+
+    def panel(self, rows: Sequence[int], counts: np.ndarray,
+              metas: Sequence[AssetMeta], positions: Callable[[int], np.ndarray],
+              run: Callable = map) -> AlignedPanel:
+        """The panel of the series at indices ``rows``, in that order, with
+        ``metas`` as their assets, on the grid of the ``uniq`` stamps whose
+        ``counts`` reach the quorum of ``len(rows)`` series. ``positions(i)``
+        returns ``locate(i)``, held from an earlier step or searched then;
+        ``run`` maps the row fills over the rows, as ``map`` does.
+
+        A cell takes the close of the series's last in-window bar at or
+        before its stamp (ffill where that bar is off the cell's stamp), or
+        the series's first in-window bar where there is none (bfill).
+        """
+        on_grid = _on_grid(counts, len(rows))
+        size = np.count_nonzero(on_grid)
+        if size == 0:
+            raise EmptyGrid("no timestamp reaches the asset quorum")
+        if size < 3:
+            raise EmptyGrid(f"grid has only {size} timestamps; need at least 3")
+        # The panel's arrays come before the small ones the fills keep, so
+        # that they can take the memory the union's sort gave back: after
+        # them, that hole in the heap stays short of the panel's size and
+        # peak memory grows by a panel (measured on 60 x 26 000 bars).
+        prices = np.empty((len(rows), size), dtype=np.float64)
+        fills = np.empty(prices.shape, dtype=np.int8)
+        grid = self.uniq[on_grid]
+        # the grid stamps ahead of each uniq stamp: a bar at uniq[p] is at or
+        # before grid column g exactly when before[p] <= g
+        before = np.cumsum(on_grid) - on_grid
+
+        def fill(row: int, i: int) -> None:
+            stamps, closes = self.bars[i]
+            # the last bar at or before each grid stamp; -1 where none is
+            idx = np.cumsum(np.bincount(before[positions(i)],
+                                        minlength=grid.size + 1)[:grid.size]) - 1
+            clipped = np.clip(idx, 0, stamps.size - 1)
+            np.take(closes, clipped, out=prices[row])
+            fills[row] = np.where(stamps[clipped] == grid, 0, np.where(idx < 0, 2, 1))
+
+        for _ in run(fill, range(len(rows)), rows):
+            pass
+        return AlignedPanel(assets=metas, grid=grid.view("datetime64[s]"),
+                            prices=prices, fills=fills)
 
 
 def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta]) -> AlignedPanel:
@@ -835,32 +927,49 @@ def align(accepted: Sequence[RawSeries], metas: Sequence[AssetMeta]) -> AlignedP
         raise ConfigError(f"no metadata for tickers: {sorted(missing_meta)}")
 
     ordered = sorted(accepted, key=lambda s: s.ticker)
-    masks = [_window_mask(s.timestamps) for s in ordered]
-    for s, mask in zip(ordered, masks):
-        if not mask.any():
+    bars = [_in_window(s) for s in ordered]
+    for s, (stamps, _) in zip(ordered, bars):
+        if not stamps.size:
             raise UnfillableAsset(s.ticker)
+    index = _StampIndex(bars)
+    # each row's fill searches its series, so no positions are held
+    return index.panel(range(len(ordered)), index.counts,
+                       [meta_by_ticker[s.ticker] for s in ordered], index.locate)
 
-    grid = shared_grid(ordered)
-    if grid.size == 0:
-        raise EmptyGrid("no timestamp reaches the asset quorum")
-    if grid.size < 3:
-        raise EmptyGrid(f"grid has only {grid.size} timestamps; need at least 3")
 
-    prices = np.empty((len(ordered), grid.size), dtype=np.float64)
-    fills = np.empty(prices.shape, dtype=np.int8)
-    for row, (s, mask) in enumerate(zip(ordered, masks)):
-        ts, px = s.timestamps[mask], s.closes[mask]
-        idx = np.searchsorted(ts, grid, side="right") - 1
-        clipped = np.clip(idx, 0, ts.size - 1)
-        prices[row] = px[clipped]
-        fills[row] = np.where(ts[clipped] == grid, 0, np.where(idx < 0, 2, 1))
+def _filter_and_align(series: Sequence[RawSeries],
+                      sector_map: Mapping[str, AssetMeta], run: Callable = map
+                      ) -> tuple[AlignedPanel, dict[str, FilterDecision]]:
+    """The panel of the series that pass the missing-data filter, and the
+    filter's decision on every series; ``run`` maps the searches and the
+    row fills over the series, as ``map`` does.
 
-    return AlignedPanel(
-        assets=tuple(meta_by_ticker[s.ticker] for s in ordered),
-        grid=grid,
-        prices=prices,
-        fills=fills,
-    )
+    The same as ``shared_grid`` over all the series, ``filter_by_missing``
+    of each against that provisional grid, then ``align`` of the accepted
+    ones, which rebuilds the grid from them: with one sort of the stamps
+    and one search per series in place of two of each.
+    """
+    index = _StampIndex([_in_window(s) for s in series])
+    # int32 positions, where they fit, halve what the filter holds
+    dtype = np.int32 if index.uniq.size <= np.iinfo(np.int32).max else np.intp
+    pos = list(run(lambda i: index.locate(i).astype(dtype), range(len(series))))
+    provisional = _on_grid(index.counts, len(series))
+    size = np.count_nonzero(provisional)
+    if size == 0:
+        raise EmptyGrid("cannot filter against an empty grid")
+    decisions = {s.ticker: _decision(np.count_nonzero(provisional[p]), size,
+                                     sector_map[s.ticker].vehicle)
+                 for s, p in zip(series, pos)}
+    kept = [decisions[s.ticker].accepted for s in series]
+    if sum(kept) < 2:
+        raise DataError("fewer than 2 assets pass the missing-data filter")
+    rows = sorted((i for i, k in enumerate(kept) if k), key=lambda i: series[i].ticker)
+    # the final grid counts the accepted series alone
+    counts = index.counts - sum(np.bincount(p, minlength=index.uniq.size)
+                                for p, k in zip(pos, kept) if not k)
+    panel = index.panel(rows, counts, [sector_map[series[i].ticker] for i in rows],
+                        pos.__getitem__, run)
+    return panel, decisions
 
 
 def slice_panel(panel: AlignedPanel, sub: SubPeriod) -> AlignedPanel:

@@ -12,15 +12,17 @@ over one generator of per-period returns, ``_period_returns``, and runs
 the steps it reports.
 
 ``load_panel`` parses the bar files on a thread pool of ``thread_cap()``
-workers: the parsers spend most of their time in numpy calls that release
-the GIL, and on a 2-core x86-64 machine two workers parsed 222 files in
-0.47 s against 0.68 s for one. Sub-periods are independent work units too,
-but run one after another in one loop: there a thread pool was no faster
-end to end on three benchmark workloads (1.6 times slower on many short
-sub-periods) and used 20-28 % more peak memory. Report files are
-byte-deterministic for a given input and configuration, so wall-clock
-timings never go into them; the CLI logs them instead. The three CLI
-commands' files are written by the ``emit_*`` functions, all through
+workers, and on the same pool locates each series's stamps in the union of
+all of them and fills the panel's rows. These steps spend much of their
+time in numpy calls that release the GIL: on a 2-core x86-64 machine two
+workers parsed 222 files in 0.47 s against 0.68 s for one, and built their
+panel from the parsed series in 0.14 s against 0.16 s. Sub-periods are
+independent work units too, but run one after another in one loop: there a
+thread pool was no faster end to end on three benchmark workloads (1.6
+times slower on many short sub-periods) and used 20-28 % more peak memory.
+Report files are byte-deterministic for a given input and configuration, so
+wall-clock timings never go into them; the CLI logs them instead. The three
+CLI commands' files are written by the ``emit_*`` functions, all through
 ``_emit``, which first deletes other commands' and earlier runs' files.
 Every CSV table is spelled by one writer, ``_csv``: a header line, then one
 comma-joined line per row, each line ending in ``\n`` and each cell spelled
@@ -87,14 +89,15 @@ from .ingest import (
     SubPeriod,
     Vehicle,
     _check_report_names,
-    align,
+    _filter_and_align,
     bar_files,
     file_slug,
-    filter_by_missing,
     load_bars,
-    shared_grid,
     slice_panel,
 )
+# bench/tracer.py looks these up here (tests/test_names.py checks it), though
+# load_panel builds the panel through _filter_and_align without them
+from .ingest import align, filter_by_missing, shared_grid  # noqa: F401
 from .returns import CsadSeries, ReturnPanel, csad, log_returns
 
 SCHEMA_VERSION = 1
@@ -268,8 +271,10 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
     a defective file raises what a loop over the files in that order would
     raise first, its message led by the file name. The missing-data filter
     runs against a provisional grid built from all loaded series; the final
-    grid is rebuilt from the accepted ones. The trading hours, the grid
-    quorum and the missing-data limits are ``ingest`` constants. The
+    grid is rebuilt from the accepted ones. The same threads locate each
+    series's stamps in the union of all of them, sorted once, and fill the
+    panel's rows (``ingest._filter_and_align``). The trading hours, the
+    grid quorum and the missing-data limits are ``ingest`` constants. The
     returned decisions include rejected tickers.
     """
     named = bar_files(data_dir)
@@ -289,15 +294,9 @@ def load_panel(data_dir: Path | str, sector_map: Mapping[str, AssetMeta], *,
             if len(tasks) > 2 * workers:
                 series.append(_collect(*tasks.popleft()))
         series.extend(_collect(*task) for task in tasks)
+        return _filter_and_align(series, sector_map, pool.map)
     finally:
         pool.shutdown(cancel_futures=True)
-    grid = shared_grid(series)
-    decisions = {s.ticker: filter_by_missing(s, grid, sector_map[s.ticker].vehicle)
-                 for s in series}
-    accepted = [s for s in series if decisions[s.ticker].accepted]
-    if len(accepted) < 2:
-        raise DataError("fewer than 2 assets pass the missing-data filter")
-    return align(accepted, [sector_map[s.ticker] for s in accepted]), decisions
 
 
 def _collect(path: Path, task: Future) -> RawSeries:

@@ -10,10 +10,11 @@ that aligned panels carried before their fill array, with the filters
 ``restrict`` and ``slice_panel`` applied to it record by record, and the
 trading window read off a ``datetime``'s hour and minute.
 
-Two references are the package's own earlier forms, kept for bit-for-bit
+Three references are the package's own earlier forms, kept for bit-for-bit
 comparison: least squares through scipy's ``qr`` and ``solve_triangular``
-wrappers (``wrapper_ols``), and the sub-period slice by a boolean date mask
-(``mask_slice_panel``).
+wrappers (``wrapper_ols``), the sub-period slice by a boolean date mask
+(``mask_slice_panel``), and the loader's panel built in three steps, each
+with its own sort or search (``three_step_panel``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.special import stdtr
 
-from herdscan.errors import EmptySlice, RankDeficient, TooFewObservations
+from herdscan.errors import (
+    DataError,
+    EmptyGrid,
+    EmptySlice,
+    RankDeficient,
+    TooFewObservations,
+    UnfillableAsset,
+)
+from herdscan.ingest import DEFAULT_MISSING_THRESHOLDS, GRID_QUORUM, FilterDecision
 
 
 def normal_equations_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -211,9 +220,7 @@ def fill_log(stamps: dict[str, np.ndarray], grid: np.ndarray,
     records = []
     for ticker in sorted(stamps):
         ts = stamps[ticker]
-        minutes = ((ts - ts.astype("datetime64[D]"))
-                   .astype("timedelta64[m]").astype(np.int64))
-        ts = ts[(minutes >= start_minute) & (minutes < end_minute)]
+        ts = ts[_window_stamps(ts, start_minute, end_minute)]
         idx = np.searchsorted(ts, grid, side="right") - 1
         clipped = np.clip(idx, 0, ts.size - 1)
         for col in np.flatnonzero(ts[clipped] != grid):
@@ -304,3 +311,76 @@ def mask_slice_panel(panel, sub) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if kept < 3:
         raise EmptySlice(f"{sub.name}: only {kept} timestamps in range")
     return panel.grid[mask], panel.prices[:, mask], panel.fills[:, mask]
+
+
+def _window_stamps(ts: np.ndarray, start_minute: int, end_minute: int) -> np.ndarray:
+    """Which ``datetime64[s]`` stamps have their minute of the day in
+    [start_minute, end_minute)."""
+    minutes = ((ts - ts.astype("datetime64[D]"))
+               .astype("timedelta64[m]").astype(np.int64))
+    return (minutes >= start_minute) & (minutes < end_minute)
+
+
+def _quorum_grid(series_list, start_minute: int, end_minute: int) -> np.ndarray:
+    """The in-window stamps held by at least ``GRID_QUORUM`` of the series."""
+    if not series_list:
+        raise EmptyGrid("no series")
+    stamps = np.concatenate([s.timestamps[_window_stamps(s.timestamps, start_minute,
+                                                         end_minute)]
+                             for s in series_list]).view(np.int64)
+    if not stamps.size:
+        raise EmptyGrid("no in-window observations in any series")
+    stamps.sort()
+    firsts = np.concatenate(([0], np.flatnonzero(stamps[1:] != stamps[:-1]) + 1))
+    counts = np.diff(firsts, append=stamps.size)
+    return stamps[firsts[counts >= GRID_QUORUM * len(series_list)]].view("datetime64[s]")
+
+
+def three_step_panel(series, sector_map, start_minute: int, end_minute: int):
+    """(provisional grid, tickers, grid, prices, fills, decisions) of bar
+    series as the loader built them in three steps, with the same errors:
+
+    1. the grid of the in-window stamps held by ``GRID_QUORUM`` of all the
+       series, sorted from their concatenation;
+    2. each series's missing fraction against that grid, its stamps
+       searched for in the grid;
+    3. for the accepted series, in ticker order, the grid sorted again from
+       their stamps alone, and each row's last bar at or before every grid
+       stamp searched for in the series (ffill, or bfill before its first
+       in-window bar).
+    """
+    provisional = _quorum_grid(series, start_minute, end_minute)
+    if provisional.size == 0:
+        raise EmptyGrid("cannot filter against an empty grid")
+    decisions = {}
+    for s in series:
+        pos = np.searchsorted(provisional, s.timestamps)
+        observed = np.count_nonzero(provisional.take(pos, mode="clip") == s.timestamps)
+        fraction = 1.0 - observed / provisional.size
+        threshold = DEFAULT_MISSING_THRESHOLDS[sector_map[s.ticker].vehicle]
+        decisions[s.ticker] = FilterDecision(bool(fraction <= threshold),
+                                             float(fraction), threshold)
+    accepted = [s for s in series if decisions[s.ticker].accepted]
+    if len(accepted) < 2:
+        raise DataError("fewer than 2 assets pass the missing-data filter")
+
+    ordered = sorted(accepted, key=lambda s: s.ticker)
+    masks = [_window_stamps(s.timestamps, start_minute, end_minute) for s in ordered]
+    for s, mask in zip(ordered, masks):
+        if not mask.any():
+            raise UnfillableAsset(s.ticker)
+    grid = _quorum_grid(ordered, start_minute, end_minute)
+    if grid.size == 0:
+        raise EmptyGrid("no timestamp reaches the asset quorum")
+    if grid.size < 3:
+        raise EmptyGrid(f"grid has only {grid.size} timestamps; need at least 3")
+    prices = np.empty((len(ordered), grid.size), dtype=np.float64)
+    fills = np.empty(prices.shape, dtype=np.int8)
+    for row, (s, mask) in enumerate(zip(ordered, masks)):
+        ts, px = s.timestamps[mask], s.closes[mask]
+        idx = np.searchsorted(ts, grid, side="right") - 1
+        clipped = np.clip(idx, 0, ts.size - 1)
+        prices[row] = px[clipped]
+        fills[row] = np.where(ts[clipped] == grid, 0, np.where(idx < 0, 2, 1))
+    return (provisional, tuple(s.ticker for s in ordered), grid, prices, fills,
+            decisions)

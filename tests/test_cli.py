@@ -416,13 +416,14 @@ class TestLoadLog:
     @pytest.fixture
     def bars_with_rejects(self, data_dir, tmp_path):
         """The CLI dataset with S01 and C02 missing every tenth and every
-        other bar: both rejected."""
+        other bar: both rejected. E01 misses its first two bars and two
+        later ones, which are filled: 2 cells back-filled, 2 forward-filled."""
         bars = tmp_path / "bars"
         shutil.copytree(data_dir["bars"], bars)
-        for ticker, step in (("S01", 10), ("C02", 2)):
+        for ticker, cut in (("S01", slice(1, None, 10)), ("C02", slice(1, None, 2)),
+                            ("E01", [0, 1, 100, 200])):
             path = bars / f"{ticker}.csv"
-            lines = path.read_text().splitlines()
-            del lines[1::step]
+            lines = np.delete(path.read_text().splitlines(), cut).tolist()
             path.write_text("\n".join(lines) + "\n")
         return bars
 
@@ -442,7 +443,8 @@ class TestLoadLog:
         [loaded] = [line for line in lines if line.startswith("loaded ")]
         workers = min(thread_cap(), n_files)
         assert f" on {workers} parse thread{'s' if workers > 1 else ''} (" in loaded
-        assert loaded.endswith("(2 rejected: C02,S01)")
+        assert loaded.endswith("(2 rejected: C02,S01), 2 cells forward-filled"
+                               " and 2 back-filled")
         for module in (cli, pipeline):
             monkeypatch.setattr(module, "thread_cap", lambda: 1)
         lines = self.analyze(data_dir, bars_with_rejects, tmp_path / "b", caplog)

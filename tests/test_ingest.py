@@ -208,6 +208,17 @@ class TestFilterByMissing:
         s = series("X", grid, np.full(50, 1.0))
         decision = filter_by_missing(s, grid, Vehicle.STOCK)
         assert decision.accepted and decision.missing_fraction == 0.0
+        assert type(decision.accepted) is bool
+        assert type(decision.missing_fraction) is float
+
+    @pytest.mark.parametrize("order", [slice(None, None, -1), [0, 0, 1, 1, 2, 2, 3, 3]],
+                             ids=["reversed", "each twice"])
+    def test_grid_not_strictly_increasing_rejected(self, order):
+        # the series matches its grid: a sorted, unique grid reads 0.0 missing
+        grid = intraday_grid(4)
+        s = series("X", grid, np.full(4, 1.0))
+        with pytest.raises(DataError, match="^grid not strictly increasing$"):
+            filter_by_missing(s, grid[order], Vehicle.STOCK)
 
 
 class TestAlign:
